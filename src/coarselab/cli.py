@@ -3,8 +3,8 @@
 Parses a JSON config, builds the named space/scheme/map, runs the requested
 verification, and writes a machine-readable report.  Exit status 0 means
 pass/feasible, 1 means fail/infeasible/witness-missing, and 2 means
-inconclusive or a config error; the report's `status` field distinguishes
-the two.  Reports are deterministic given a config and embed the fully
+inconclusive or an error in the config or its parameters; the report's
+`status` field distinguishes the two.  Reports are deterministic given a config and embed the fully
 resolved config for reproducibility.
 """
 
@@ -19,7 +19,6 @@ from pathlib import Path
 
 from . import acceptance
 from .covers import (
-    CoverError,
     FiniteFamily,
     fiber_product_cover,
     grid_cover,
@@ -37,16 +36,15 @@ from .spaces import (
     ControlFn,
     MapSpec,
     ShiftPoint,
-    SpaceError,
     SpaceSpec,
     TowerPoint,
     Window,
-    WindowError,
     lattice_max_distance,
     space_distance,
 )
 from .verify import (
     BudgetExceeded,
+    VerifyError,
     assignment_scheme,
     check_coarse_control,
     find_fiber_witnesses,
@@ -189,7 +187,6 @@ def run_verify(cfg: dict, limits: dict) -> tuple[int, dict]:
             scheme, space, window,
             point_budget=limits.get("node_budget"),
             max_uncovered_listed=limits.get("max_uncovered_listed", 20),
-            workers=limits.get("worker_count", 1),
         )
     except BudgetExceeded as exc:
         return 2, {"status": "inconclusive", "reason": str(exc)}
@@ -349,13 +346,10 @@ def _write_csv(path: str, report: dict) -> None:
 
 def run_experiment(kind: str, config: dict, *, out: str | None = None,
                    csv_path: str | None = None,
-                   workers: int | None = None,
                    budget: int | None = None,
                    seed: int | None = None) -> int:
     """Dispatch one experiment, write its report, return the exit status."""
     limits = dict(config.get("limits", {}))
-    if workers is not None:
-        limits["worker_count"] = workers
     if budget is not None:
         limits["node_budget"] = budget
     if seed is not None:
@@ -368,8 +362,7 @@ def run_experiment(kind: str, config: dict, *, out: str | None = None,
     else:
         try:
             status, body = runner(config, limits)
-        except (ConfigError, CoverError, SpaceError, WindowError,
-                KeyError, TypeError) as exc:
+        except (ValueError, VerifyError, KeyError, TypeError) as exc:
             status, body = 2, {"status": "error",
                                "message": f"{type(exc).__name__}: {exc}"}
     envelope = {
@@ -400,7 +393,6 @@ def main(argv: list[str] | None = None) -> int:
                        required=command not in ("suite",))
         p.add_argument("--out", help="report output path")
         p.add_argument("--csv", help="CSV export path for per-color tables")
-        p.add_argument("--workers", type=int, default=None)
         p.add_argument("--budget", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
@@ -416,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     return run_experiment(
         COMMAND_KINDS[args.command], config,
         out=args.out, csv_path=args.csv,
-        workers=args.workers, budget=args.budget, seed=args.seed,
+        budget=args.budget, seed=args.seed,
     )
 
 

@@ -30,6 +30,8 @@ from .spaces import (
     iter_window,
     lattice_max_distance,
     level_penalty,
+    pad_point,
+    shift_distance,
     space_distance,
     window_size,
 )
@@ -126,6 +128,13 @@ class VerificationReport:
 # metric.  Under the max metric the diameter of ANY point set equals its
 # widest bounding-box extent, which the lattice, tower and product summaries
 # exploit; the l1 shift metric has no such shortcut and measures pairwise.
+#
+# `sort_key(summary)` projects a summary to one interval (lo, hi) on a line
+# such that the gap between two cells' intervals never exceeds their
+# distance.  The separation sweep in _min_separation_points orders cells by
+# `lo` and uses that gap to stop scanning, so only nearby cells are bounded
+# with `lower_bound`, and only those the bound cannot rule out are measured
+# exactly.
 
 
 def _gap(a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -152,6 +161,9 @@ class _LatticeAdapter:
     def lower_bound(self, a, b) -> int:
         return max((_gap(x, y) for x, y in zip(a, b)), default=0)
 
+    def sort_key(self, summary) -> tuple[int, int]:
+        return summary[0]
+
 
 class _TowerAdapter:
     """Pads every point to a common level so coordinate boxes line up; the
@@ -162,14 +174,11 @@ class _TowerAdapter:
         self.spec = spec
         self.pad_to = pad_to
 
-    def _padded(self, p: TowerPoint) -> tuple[int, ...]:
-        return p.coords + (0,) * (self.pad_to - p.level) + p.extra
-
     def distance(self, p, q) -> int:
         return space_distance(self.spec, p, q)
 
     def summary(self, points: list):
-        rows = [self._padded(p) for p in points]
+        rows = [pad_point(p, self.pad_to) for p in points]
         box = [(min(vals), max(vals)) for vals in zip(*rows)]
         levels = (min(p.level for p in points), max(p.level for p in points))
         return (box, levels)
@@ -190,6 +199,10 @@ class _TowerAdapter:
         else:
             pen = 0
         return max(spread, pen)
+
+    def sort_key(self, summary) -> tuple[int, int]:
+        """The padded axis-0 box: every level has a first coordinate."""
+        return summary[0][0]
 
 
 class _ProductAdapter:
@@ -214,17 +227,24 @@ class _ProductAdapter:
         return max(self.factor.lower_bound(a[0], b[0]),
                    self.factor.lower_bound(a[1], b[1]))
 
+    def sort_key(self, summary) -> tuple[int, int]:
+        return self.factor.sort_key(summary[0])
+
 
 class _ShiftAdapter:
     def distance(self, p, q) -> int:
-        return space_distance(SpaceSpec.shift_union(), p, q)
+        return shift_distance(p, q)
 
     def summary(self, points: list):
-        axes: dict[int, tuple[int, int]] = {}
+        values: dict[int, list[int]] = {}
         for p in points:
             for i, v in p.support:
-                lo, hi = axes.get(i, (0, 0))
-                axes[i] = (min(lo, v), max(hi, v))
+                values.setdefault(i, []).append(v)
+        axes = {}
+        for i, vs in values.items():
+            if len(vs) < len(points):
+                vs.append(0)  # some point is 0 at index i
+            axes[i] = (min(vs), max(vs))
         levels = (min(p.level for p in points), max(p.level for p in points))
         return (axes, levels)
 
@@ -244,6 +264,11 @@ class _ShiftAdapter:
         for i in axes_a.keys() | axes_b.keys():
             total += _gap(axes_a.get(i, (0, 0)), axes_b.get(i, (0, 0)))
         return total
+
+    def sort_key(self, summary) -> tuple[int, int]:
+        """The level interval: |level difference| is one term of the l1
+        sum."""
+        return summary[1]
 
 
 def _adapter_for(spec: SpaceSpec, points_by_cell: Iterable[list]):
@@ -267,26 +292,45 @@ def _adapter_for(spec: SpaceSpec, points_by_cell: Iterable[list]):
 # pointwise measurement
 # ---------------------------------------------------------------------------
 
-def _min_separation_points(cells: list[list], adapter) -> int | None:
-    """Exact minimum distance between distinct cells: bounding-summary lower
-    bounds sorted ascending, with exact pair distances only until the next
-    lower bound cannot beat the best."""
+def _min_separation_points(cells: list[list], summaries: list,
+                           adapter) -> int | None:
+    """Exact minimum distance between distinct cells, by sweep and prune.
+
+    Cells are visited in ascending order of their sort key's `lo`.  For a
+    cell with key (lo_a, hi_a) and any later cell with key (lo_b, hi_b),
+    lo_b >= lo_a, so the key gap is max(0, lo_b - hi_a); it bounds their
+    distance from below and never decreases along the order.  Once
+    lo_b - hi_a reaches the best distance so far, no later cell can come
+    closer to this one and its scan stops.  Inside the scan, a pair whose
+    summary lower bound already reaches the best is skipped, and every other
+    pair is measured exactly through the metric.  `best` only falls, so
+    every pair left unmeasured is at least the final `best` apart and the
+    result is the exact minimum; a distance of 0 ends the sweep at once.
+    """
     if len(cells) < 2:
         return None
-    summaries = [adapter.summary(pts) for pts in cells]
-    pairs = []
-    for i in range(len(cells)):
-        for j in range(i + 1, len(cells)):
-            pairs.append((adapter.lower_bound(summaries[i], summaries[j]), i, j))
-    pairs.sort(key=lambda t: t[0])
-    best: int | None = None
-    for lb, i, j in pairs:
-        if best is not None and lb >= best:
-            break
-        d = min(adapter.distance(p, q)
-                for p in cells[i] for q in cells[j])
-        if best is None or d < best:
-            best = d
+    keys = [adapter.sort_key(s) for s in summaries]
+    order = sorted(range(len(cells)), key=lambda i: keys[i][0])
+    los = [keys[i][0] for i in order]
+    his = [keys[i][1] for i in order]
+    sums = [summaries[i] for i in order]
+    pts = [cells[i] for i in order]
+    lower_bound = adapter.lower_bound
+    distance = adapter.distance
+    best = float("inf")
+    for a in range(len(order)):
+        hi_a = his[a]
+        sum_a = sums[a]
+        for b in range(a + 1, len(order)):
+            if los[b] - hi_a >= best:
+                break
+            if lower_bound(sum_a, sums[b]) >= best:
+                continue
+            d = min(distance(p, q) for p in pts[a] for q in pts[b])
+            if d < best:
+                if d == 0:
+                    return 0
+                best = d
     return best
 
 
@@ -295,10 +339,10 @@ def _measure_color_points(cells: dict, adapter):
     if not cells:
         return 0, None, None
     point_lists = list(cells.values())
-    diam = 0
-    for pts in point_lists:
-        diam = max(diam, adapter.diameter(pts, adapter.summary(pts)))
-    sep = _min_separation_points(point_lists, adapter)
+    summaries = [adapter.summary(pts) for pts in point_lists]
+    diam = max(adapter.diameter(pts, summary)
+               for pts, summary in zip(point_lists, summaries))
+    sep = _min_separation_points(point_lists, summaries, adapter)
     return len(cells), diam, sep
 
 
@@ -426,8 +470,7 @@ def _measure_color_runs(cells: dict):
 def verify_cover(s: CoverScheme, spec: SpaceSpec, w: Window, *,
                  mode: str = "auto",
                  point_budget: int | None = None,
-                 max_uncovered_listed: int = 20,
-                 workers: int = 1) -> VerificationReport:
+                 max_uncovered_listed: int = 20) -> VerificationReport:
     """Materialize `s` over `w` and measure, per color, the exact maximum
     cell diameter and minimum cross-cell separation against the declared
     values, plus full coverage.
@@ -453,7 +496,7 @@ def verify_cover(s: CoverScheme, spec: SpaceSpec, w: Window, *,
             raise BudgetExceeded(
                 f"window holds {size} points, budget is {point_budget}"
             )
-        return _verify_pointwise(s, spec, w, max_uncovered_listed, workers)
+        return _verify_pointwise(s, spec, w, max_uncovered_listed)
     return _verify_runs(s, spec, w, max_uncovered_listed, point_budget)
 
 
@@ -497,11 +540,12 @@ def _finish_report(s, w, cells, measure, uncovered, uncovered_total,
     )
 
 
-def _classify_chunk(s: CoverScheme, chunk: list):
+def _verify_pointwise(s, spec, w, max_listed) -> VerificationReport:
+    points = list(iter_window(spec, w))
     cells: dict[int, dict] = {}
     uncovered: list = []
     errors: list[str] = []
-    for p in chunk:
+    for p in points:
         try:
             res = s.classify(p)
         except SpaceError as exc:
@@ -515,31 +559,6 @@ def _classify_chunk(s: CoverScheme, chunk: list):
             errors.append(f"{p!r}: color {color} out of range")
             continue
         cells.setdefault(color, {}).setdefault(key, []).append(p)
-    return cells, uncovered, errors
-
-
-def _verify_pointwise(s, spec, w, max_listed, workers) -> VerificationReport:
-    points = list(iter_window(spec, w))
-    chunks = [points]
-    if workers > 1 and len(points) > 10000:
-        size = (len(points) + workers - 1) // workers
-        chunks = [points[i:i + size] for i in range(0, len(points), size)]
-    cells: dict[int, dict] = {}
-    uncovered: list = []
-    errors: list[str] = []
-    if len(chunks) == 1:
-        results = [_classify_chunk(s, chunks[0])]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda c: _classify_chunk(s, c), chunks))
-    for part_cells, part_unc, part_err in results:
-        uncovered.extend(part_unc)
-        errors.extend(part_err)
-        for color, per_key in part_cells.items():
-            bucket = cells.setdefault(color, {})
-            for key, pts in per_key.items():
-                bucket.setdefault(key, []).extend(pts)
 
     adapter = _adapter_for(
         spec, (pts for per in cells.values() for pts in per.values()))
@@ -607,7 +626,7 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
                 if entry[0] != fiber:
                     raise VerifyError(
                         "run-path verification needs single-fiber cells; "
-                        "use force_pointwise for this scheme"
+                        'use mode="pointwise" for this scheme'
                     )
                 entry[1].append((t0, t1))
         if expected != t_hi + 1:

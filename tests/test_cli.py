@@ -162,6 +162,20 @@ def test_config_errors_exit_two(tmp_path):
     assert "no-such" in report["report"]["message"]
 
 
+def test_library_errors_exit_two_with_error_report(tmp_path):
+    # the 1-D search supports 1 or 2 colors (VerifyError); ord-rank members
+    # must be naturals (ValueError)
+    status, report = run_cli(tmp_path, "oracle1d",
+                             {"n": 2, "R": 2, "colors": 3, "window": [0, 10]})
+    assert status == 2
+    assert report["status"] == "error"
+    assert report["report"]["message"].startswith("VerifyError:")
+    status, report = run_cli(tmp_path, "ord", {"family": [[-1, 2]]})
+    assert status == 2
+    assert report["status"] == "error"
+    assert report["report"]["message"].startswith("ValueError:")
+
+
 def test_missing_config_file_exits_two(capsys):
     assert main(["verify", "--config", "/nonexistent/config.json"]) == 2
 

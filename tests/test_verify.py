@@ -237,13 +237,23 @@ def test_budget_guard():
                      Window.make(box=(-500, 500)), point_budget=1000)
 
 
-def test_worker_partition_agrees_with_serial():
-    scheme = grid_cover(2, 4)
+def test_run_path_rejects_a_cell_spread_over_two_fibers():
+    # every fiber reports its whole line as one run of the same cell
+    def fiber_runs(fiber, t_lo, t_hi):
+        return [(t_lo, t_hi, 0, "shared")]
+
+    scheme = CoverScheme(
+        classify=lambda p: (0, "shared"), colors=1,
+        declared_separation={0: 1}, declared_bound={0: 10},
+        domain_note="one cell across two fibers",
+        moving_axis=1, fiber_runs=fiber_runs,
+    )
     spec = SpaceSpec.lattice((1, 1))
-    w = Window.make(box=(-60, 60))
-    serial = verify_cover(scheme, spec, w, workers=1)
-    parallel = verify_cover(scheme, spec, w, workers=4)
-    assert serial.to_json() == parallel.to_json()
+    w = Window.make(box=((0, 1), (0, 9)))
+    with pytest.raises(VerifyError,
+                       match='single-fiber cells; use mode="pointwise"'):
+        verify_cover(scheme, spec, w, mode="runs")
+    assert verify_cover(scheme, spec, w, mode="pointwise").passed
 
 
 def test_report_json_round_trip_fields():
