@@ -6,7 +6,6 @@ from .covers import (
     CoverError,
     CoverScheme,
     FiniteFamily,
-    classify_point,
     fiber_product_cover,
     grid_cover,
     mixed_grid_cover,

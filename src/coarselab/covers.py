@@ -67,11 +67,6 @@ class CoverScheme:
                 raise CoverError(f"bad declared bound {b} for color {c}")
 
 
-def classify_point(s: CoverScheme, p) -> "tuple[int, CellKey] | None":
-    """Uniform evaluation entry point; None means not covered by `s`."""
-    return s.classify(p)
-
-
 def canon_key(k) -> tuple:
     """Type-tagged total order key for heterogeneous cell keys."""
     if isinstance(k, tuple):
@@ -115,10 +110,54 @@ def band_interval(x: int, l: int, s_unit: int, r_off: int, gap: int,
     return "D", j0 + 1
 
 
-def _pattern_to_offset(bits: Sequence[int]) -> int:
-    """Bijection {0,1}^n -> {1..2^n} used to pair interval offsets with
-    parity patterns."""
-    return 1 + sum(b << i for i, b in enumerate(bits))
+def _offset_bands(free: Sequence[int], scaled: Sequence[int], width: int,
+                  unit: int, gap: int, multiplier: int):
+    """Classify one point of an offset-band cover in a single pass.
+
+    Each scaled axis sits in the `parity_interval` tiling of width `width`;
+    its family bit i sets bit i of the offset l - 1, so l runs over
+    {1..2^len(scaled)}.  Each free axis is then located in the offset-l
+    tiling of `band_interval` (unit `unit`, r_off `width`, separators of
+    width `gap`).  Returns (family, l, cell, w_cell):
+
+    - family 0 when every free axis sits in a long band; `cell` holds the
+      band indices;
+    - otherwise family = 2^len(free) * s + t, where s is the first free axis
+      in a separator and t - 1 is the parity pattern of the free axes;
+      `cell` holds ("D", separator index) on axis s and ("V", parity
+      index) on every other free axis.
+
+    `w_cell` holds the parity indices of the scaled axes.  A width-w parity
+    interval has index (q + 1) // 2 for q = x // w, and family bit 1 exactly
+    when q is even.
+    """
+    l = 1
+    w_cell = []
+    for i, x in enumerate(scaled):
+        q = x // width
+        if not q & 1:
+            l += 1 << i
+        w_cell.append((q + 1) >> 1)
+    period = multiplier * unit
+    shift = width - l * unit
+    long_end = period - gap
+    bands = []
+    for x in free:
+        j0, rem = divmod(x + shift, period)
+        if rem >= long_end:
+            break
+        bands.append(j0 + 1)
+    else:
+        return 0, l, tuple(bands), tuple(w_cell)
+    s = len(bands)
+    t = 1
+    cell = []
+    for i, x in enumerate(free):
+        q = x // width
+        if not q & 1:
+            t += 1 << i
+        cell.append(("D", j0 + 1) if i == s else ("V", (q + 1) >> 1))
+    return (1 << len(free)) * s + t, l, tuple(cell), tuple(w_cell)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +450,10 @@ def mixed_grid_cover(m: int, n: int, k: int, R: int) -> CoverScheme:
     The last n axes pick an interval-parity pattern, hence an offset l in
     {1..2^n}; color 0 requires every free axis to sit in the offset-l long
     band, and the fallback colors are indexed by the first separator axis and
-    the parity pattern of the free axes.
+    the parity pattern of the free axes.  `classify` is one pass of
+    `_offset_bands` (parity width R, band unit R + k, separators of width k),
+    equal on every point to the reference tilings `parity_interval` and
+    `band_interval`.
     """
     if k < 1 or R < 1:
         raise CoverError("k and R must be >= 1")
@@ -425,27 +467,9 @@ def mixed_grid_cover(m: int, n: int, k: int, R: int) -> CoverScheme:
     def classify(p) -> "tuple[int, CellKey] | None":
         if len(p) != m + n:
             raise SpaceError(f"mixed grid point needs {m + n} axes")
-        free, scaled = p[:m], p[m:]
-        w_bits = []
-        w_cell = []
-        for x in scaled:
-            fam, j = parity_interval(x, R)
-            w_bits.append(fam)
-            w_cell.append(j)
-        l = _pattern_to_offset(w_bits)
-        bands = [band_interval(x, l, S, R, k, multiplier) for x in free]
-        if all(kind == "C" for kind, _ in bands):
-            return (0, (l, tuple(j for _, j in bands), tuple(w_cell)))
-        s = next(i for i, (kind, _) in enumerate(bands) if kind == "D")
-        t_bits = [parity_interval(x, R)[0] for x in free]
-        color = (2 ** m) * s + _pattern_to_offset(t_bits)
-        cell = []
-        for i, x in enumerate(free):
-            if i == s:
-                cell.append(("D", bands[s][1]))
-            else:
-                cell.append(("V", parity_interval(x, R)[1]))
-        return (color, (l, tuple(cell), tuple(w_cell)))
+        color, l, cell, w_cell = _offset_bands(p[:m], p[m:], R, S, k,
+                                               multiplier)
+        return (color, (l, cell, w_cell))
 
     colors = m * 2 ** m + 1
     separation = {0: k}
@@ -562,7 +586,9 @@ def shift_union_cover(k: int, m: int) -> CoverScheme:
     interval-parity pattern (the offset l), 3k axes are checked against the
     offset-l long bands, and all later axes are frozen into the cell key.
     Blocks of even and odd index are merged separately, giving two k-disjoint
-    colors and (6k)*2^(3k) m-disjoint colors.
+    colors and (6k)*2^(3k) m-disjoint colors.  Inside a block, `classify` is
+    one pass of `_offset_bands` (parity width m, band unit 2(k + m),
+    separators of width k), the classifier `mixed_grid_cover` uses too.
     """
     if k < 1 or m < 1:
         raise CoverError("k and m must be >= 1")
@@ -578,34 +604,15 @@ def shift_union_cover(k: int, m: int) -> CoverScheme:
             raise SpaceError("shift_union_cover expects ShiftPoints")
         block = p.level // (2 * k)
         base = 2 * block * k
-        parity = block % 2
-        scaled = [p.value(i) for i in range(base + band_count,
-                                            base + band_count + m)]
-        w_bits = []
-        w_cell = []
-        for x in scaled:
-            fam, j = parity_interval(x, m)
-            w_bits.append(fam)
-            w_cell.append(j)
-        l = _pattern_to_offset(w_bits)
-        free = [p.value(i) for i in range(base, base + band_count)]
-        bands = [band_interval(x, l, s_unit, m, k, multiplier) for x in free]
+        values = dict(p.support)
+        free = [values.get(i, 0) for i in range(base, base + band_count)]
+        scaled = [values.get(i, 0) for i in range(base + band_count,
+                                                   base + band_count + m)]
+        family, l, cell, w_cell = _offset_bands(free, scaled, m, s_unit, k,
+                                                multiplier)
         tail = tuple((i, v) for i, v in p.support
                      if i >= base + band_count + m)
-        if all(kind == "C" for kind, _ in bands):
-            cell = (block, l, tuple(j for _, j in bands), tuple(w_cell), tail)
-            return (parity, cell)
-        s = next(i for i, (kind, _) in enumerate(bands) if kind == "D")
-        t_bits = [parity_interval(x, m)[0] for x in free]
-        family = (2 ** band_count) * s + _pattern_to_offset(t_bits)
-        color = 2 * family + parity
-        cell = []
-        for i, x in enumerate(free):
-            if i == s:
-                cell.append(("D", bands[s][1]))
-            else:
-                cell.append(("V", parity_interval(x, m)[1]))
-        return (color, (block, l, tuple(cell), tuple(w_cell), tail))
+        return (2 * family + block % 2, (block, l, cell, w_cell, tail))
 
     colors = 2 * per_block + 2
     level_extent = 2 * k - 1

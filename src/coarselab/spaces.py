@@ -319,12 +319,6 @@ def lattice_max_distance(p: Sequence[int], q: Sequence[int]) -> int:
     return max((abs(a - b) for a, b in zip(p, q)), default=0)
 
 
-def lattice_l1_distance(p: Sequence[int], q: Sequence[int]) -> int:
-    if len(p) != len(q):
-        raise SpaceError("dimension mismatch")
-    return sum(abs(a - b) for a, b in zip(p, q))
-
-
 def level_penalty(lo_level: int, hi_level: int) -> int:
     """Sum lo + (lo+1) + ... + (hi-1); zero when the levels agree."""
     if lo_level == hi_level:
@@ -341,7 +335,7 @@ def pad_point(p: TowerPoint, target_level: int) -> tuple[int, ...]:
     return p.coords + (0,) * (target_level - p.level) + p.extra
 
 
-def tower_distance(a: TowerPoint, b: TowerPoint, spec: SpaceSpec | None = None) -> int:
+def tower_distance(a: TowerPoint, b: TowerPoint) -> int:
     """Max metric on zero-padded coordinates, floored by the level penalty."""
     if len(a.extra) != len(b.extra):
         raise SpaceError("mismatched extra-block dimensions")
@@ -363,7 +357,7 @@ def shift_distance(x: ShiftPoint, y: ShiftPoint) -> int:
 def space_distance(spec: SpaceSpec, p, q) -> int:
     """The metric of `spec` evaluated at two of its points."""
     if spec.kind in ("tower", "tower-with-factor"):
-        return tower_distance(p, q, spec)
+        return tower_distance(p, q)
     if spec.kind == "shift-union":
         return shift_distance(p, q)
     if spec.kind == "product-of-towers":

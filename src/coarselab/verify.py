@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .covers import CoverScheme, FiniteFamily
@@ -159,7 +160,13 @@ class _LatticeAdapter:
         return max((hi - lo for lo, hi in summary), default=0)
 
     def lower_bound(self, a, b) -> int:
-        return max((_gap(x, y) for x, y in zip(a, b)), default=0)
+        best = 0
+        for (lo_a, hi_a), (lo_b, hi_b) in zip(a, b):
+            if lo_a - hi_b > best:
+                best = lo_a - hi_b
+            elif lo_b - hi_a > best:
+                best = lo_b - hi_a
+        return best
 
     def sort_key(self, summary) -> tuple[int, int]:
         return summary[0]
@@ -367,8 +374,9 @@ class _FiberSet:
     detection for exact max-metric gaps."""
 
     def __init__(self, fibers: list[tuple]):
-        self.had_duplicates = len(set(fibers)) < len(fibers)
-        self.fibers = sorted(set(fibers))
+        unique = set(fibers)
+        self.had_duplicates = len(unique) < len(fibers)
+        self.fibers = sorted(unique)
         self.axes = [sorted(set(vals)) for vals in zip(*self.fibers)]
         count = 1
         for vals in self.axes:
@@ -376,13 +384,22 @@ class _FiberSet:
         self.is_product = count == len(self.fibers)
         self.bbox = [(vals[0], vals[-1]) for vals in self.axes]
 
+    @cached_property
+    def fiber_set(self) -> frozenset:
+        """Built on first use: product pairs never need it."""
+        return frozenset(self.fibers)
+
     def min_cross_gap(self, other: "_FiberSet") -> int:
-        """min over pairs (one fiber from each) of the max-metric distance."""
-        if set(self.fibers) & set(other.fibers):
-            return 0
+        """min over pairs (one fiber from each) of the max-metric distance.
+
+        For two product sets the per-axis minimum gaps are independent, so
+        their maximum is exact; it is 0 exactly when every axis shares a
+        value, that is when the sets share a fiber."""
         if self.is_product and other.is_product:
             return max((_sorted_min_gap(a, b)
                         for a, b in zip(self.axes, other.axes)), default=0)
+        if not self.fiber_set.isdisjoint(other.fiber_set):
+            return 0
         return min(lattice_max_distance(f, g)
                    for f in self.fibers for g in other.fibers)
 
@@ -865,7 +882,6 @@ def oracle_1d_nocover(n: int, R: int, colors: int,
 
     failed: set = set()
     nodes = 0
-    budget_hit = False
 
     def canon(state, p):
         out = []
@@ -880,18 +896,9 @@ def oracle_1d_nocover(n: int, R: int, colors: int,
             out.append((max(c_lo - p, -(R + 1)), max(c_hi - p, -n)))
         return tuple(sorted(out, key=lambda v: (v is None, v)))
 
-    def search(idx, state, clusters, assignment):
-        nonlocal nodes, budget_hit
-        if idx == len(points):
-            return assignment
-        p = points[idx]
-        key = (idx, canon(state, p))
-        if key in failed:
-            return None
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            budget_hit = True
-            return None
+    def moves(state, clusters, p):
+        """Yield the (next state, next clusters, assignment entry) moves at
+        `p` in the order the search tries them."""
         for c in range(colors):
             st = state[c]
             options = []
@@ -908,23 +915,38 @@ def oracle_1d_nocover(n: int, R: int, colors: int,
                 next_state[c] = new_st
                 next_clusters = list(clusters)
                 next_clusters[c] = cluster_id + 1
-                result = search(
-                    idx + 1, tuple(next_state), tuple(next_clusters),
-                    assignment + [(p, c, cluster_id)],
-                )
-                if result is not None:
-                    return result
-                if budget_hit:
-                    return None
-        failed.add(key)
-        return None
+                yield (tuple(next_state), tuple(next_clusters),
+                       (p, c, cluster_id))
 
-    found = search(0, (None,) * colors, (0,) * colors, [])
-    if found is not None:
-        return OracleOutcome("feasible", found, nodes, window, params)
-    if budget_hit:
-        return OracleOutcome("inconclusive", None, nodes, window, params)
-    return OracleOutcome("infeasible", None, nodes, window, params)
+    # Explicit-stack depth-first search over frames (idx, memo key, moves);
+    # `assignment` holds the move in progress of each frame, so the depth is
+    # bounded by memory, not by the recursion limit.
+    assignment: list = []
+    stack: list = []
+    idx, state, clusters = 0, (None,) * colors, (0,) * colors
+    while idx < len(points):
+        p = points[idx]
+        key = (idx, canon(state, p))
+        if key not in failed:
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                return OracleOutcome("inconclusive", None, nodes, window,
+                                     params)
+            stack.append((idx, key, moves(state, clusters, p)))
+        while stack:
+            frame_idx, frame_key, frame_moves = stack[-1]
+            del assignment[len(stack) - 1:]  # this frame's failed move
+            move = next(frame_moves, None)
+            if move is not None:
+                state, clusters, entry = move
+                assignment.append(entry)
+                idx = frame_idx + 1
+                break
+            failed.add(frame_key)
+            stack.pop()
+        else:
+            return OracleOutcome("infeasible", None, nodes, window, params)
+    return OracleOutcome("feasible", assignment, nodes, window, params)
 
 
 def assignment_scheme(outcome: OracleOutcome, n: int, R: int,

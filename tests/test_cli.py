@@ -96,6 +96,14 @@ def test_oracle_feasible_includes_recheck(tmp_path):
     assert report["report"]["assignment"]
 
 
+def test_oracle_long_window_exits_zero(tmp_path):
+    config = {"n": 3, "R": 5, "colors": 2, "window": [0, 1000]}
+    status, report = run_cli(tmp_path, "oracle1d", config)
+    assert status == 0
+    assert report["report"]["status"] == "feasible"
+    assert report["report"]["recheck"]["verdict"] == "pass"
+
+
 def test_ord_rank_command(tmp_path):
     status, report = run_cli(tmp_path, "ord", {"family": [[1, 2], [3]]})
     assert status == 0

@@ -35,6 +35,8 @@ from coarselab.spaces import (
     enumerate_window,
     evaluate_map,
     lattice_max_distance,
+    space_distance,
+    tower_distance,
 )
 
 
@@ -101,7 +103,6 @@ def test_singleton_cover_threshold():
 def test_singleton_separation_exceeds_threshold():
     spec = SpaceSpec.tower("identity")
     pts = enumerate_window(spec, Window.make(levels=(4, 4), box=(-8, 8)))
-    from coarselab.spaces import tower_distance
     d = min(tower_distance(a, b) for a in pts for b in pts if a != b)
     assert d == 4  # level-4 coordinates move in steps of 4
     a = TowerPoint(4, (0,) * 4)
@@ -331,10 +332,21 @@ def test_product_square_high_pairs_pairwise_distance():
     spec = SpaceSpec.product_of_towers("pow2")
     pts = [p for p in enumerate_window(spec,
                                        Window.make(levels=(2, 3), box=(-8, 8)))]
-    from coarselab.spaces import space_distance
     singles = [p for p in pts if scheme.classify(p)[1][0] == 1]
-    d = min(space_distance(spec, a, b)
-            for a, b in itertools.combinations(singles, 2))
+    # the product metric is the max of the two factor distances, so the
+    # all-pairs minimum only needs a table over the distinct factor points
+    factors = sorted({q for p in singles for q in p}, key=TowerPoint.key)
+    index = {q: i for i, q in enumerate(factors)}
+    table = [[tower_distance(a, b) for b in factors] for a in factors]
+    pairs = [(index[a], index[b]) for a, b in singles]
+    rng = random.Random(0)
+    for _ in range(300):
+        x, y = rng.randrange(len(singles)), rng.randrange(len(singles))
+        (i, j), (k, l) = pairs[x], pairs[y]
+        assert (max(table[i][k], table[j][l])
+                == space_distance(spec, singles[x], singles[y]))
+    d = min(max(table[i][k], table[j][l])
+            for (i, j), (k, l) in itertools.combinations(pairs, 2))
     assert d >= 2  # > k = 1
 
 

@@ -1,5 +1,6 @@
 """The sweep-and-prune cross-cell separation against an unpruned all-pairs
-minimum, on random cell layouts in every pointwise space kind."""
+minimum, on random cell layouts in every pointwise space kind, and the run
+path's fiber-set gap against the same brute force."""
 
 import itertools
 
@@ -7,8 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coarselab.spaces import ShiftPoint, SpaceSpec, TowerPoint, space_distance
-from coarselab.verify import _adapter_for, _min_separation_points
+from coarselab.spaces import (
+    ShiftPoint,
+    SpaceSpec,
+    TowerPoint,
+    lattice_max_distance,
+    space_distance,
+)
+from coarselab.verify import _adapter_for, _FiberSet, _min_separation_points
 
 COORD = st.integers(-6, 6)
 
@@ -106,3 +113,23 @@ def test_sweep_matches_all_pairs_minimum(kind, data):
 def test_two_cell_layouts(cells):
     assert_sweep_matches_brute(SpaceSpec.lattice((1,)), cells)
 
+
+@st.composite
+def fiber_lists(draw, dim):
+    """Fibers of one run class: a full product of per-axis value sets, or
+    an arbitrary list (possibly with repeats)."""
+    if draw(st.booleans()):
+        axes = [draw(st.lists(COORD, min_size=1, max_size=3, unique=True))
+                for _ in range(dim)]
+        return list(itertools.product(*axes))
+    return draw(st.lists(st.tuples(*[COORD] * dim), min_size=1, max_size=6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fiber_set_cross_gap_matches_all_pairs(data):
+    dim = data.draw(st.integers(0, 3))
+    a = data.draw(fiber_lists(dim))
+    b = data.draw(fiber_lists(dim))
+    brute = min(lattice_max_distance(f, g) for f in a for g in b)
+    assert _FiberSet(a).min_cross_gap(_FiberSet(b)) == brute

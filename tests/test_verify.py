@@ -7,6 +7,7 @@ import pytest
 
 from coarselab.covers import (
     CoverScheme,
+    _offset_bands,
     grid_cover,
     mixed_grid_cover,
     product_square_cover,
@@ -445,6 +446,26 @@ def test_oracle_matches_exhaustive_partition_search_one_color():
         assert got == ("feasible" if expected else "infeasible")
 
 
+def _period_eight_cover(hi):
+    # six points of color 0, then two of color 1, per period of 8
+    return [(x, 0 if x % 8 < 6 else 1, x // 8) for x in range(hi + 1)]
+
+
+def test_oracle_601_point_outcome_is_pinned():
+    out = oracle_1d_nocover(3, 5, 2, (0, 600))
+    assert out.status == "feasible"
+    assert out.nodes_explored == 601
+    assert out.assignment == _period_eight_cover(600)
+
+
+@pytest.mark.parametrize("hi", [1000, 2000])
+def test_oracle_long_windows_do_not_hit_the_recursion_limit(hi):
+    out = oracle_1d_nocover(3, 5, 2, (0, hi))
+    assert out.status == "feasible"
+    assert out.nodes_explored == hi + 1
+    assert out.assignment == _period_eight_cover(hi)
+
+
 def test_oracle_budget_yields_inconclusive():
     out = oracle_1d_nocover(3, 5, 2, (-12, 12), node_budget=5)
     assert out.status == "inconclusive"
@@ -516,3 +537,62 @@ def test_oracle_outcome_round_trips_through_json():
     rep = verify_cover(assignment_scheme(reloaded, 2, 6, 1),
                        SpaceSpec.lattice((1,)), Window.make(box=((0, 5),)))
     assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# mutant schemes: the verifier must reject each deliberate break
+# ---------------------------------------------------------------------------
+
+MIXED_WINDOW = Window.make(axis_boxes={0: (-30, 30), 1: (-30, 30),
+                                       2: (-8, 8)})
+MIXED_SPEC = SpaceSpec.lattice((1, 1, 4))
+
+
+def _mutant(scheme, classify=None, separation=None, bound=None):
+    return CoverScheme(
+        classify=classify or scheme.classify, colors=scheme.colors,
+        declared_separation={**scheme.declared_separation,
+                             **(separation or {})},
+        declared_bound={**scheme.declared_bound, **(bound or {})},
+        domain_note="mutant of " + scheme.domain_note,
+    )
+
+
+def test_mixed_grid_reference_window_passes_at_its_declarations():
+    scheme = mixed_grid_cover(2, 1, 4, 6)
+    rep = verify_cover(scheme, MIXED_SPEC, MIXED_WINDOW)
+    assert rep.verdict == "pass"
+    assert rep.record(0).min_cross_cell_separation == 4
+    assert rep.record(0).max_diameter == 15
+    assert scheme.declared_separation[0] == 4
+    assert scheme.declared_bound[0] == 15
+
+
+def test_mixed_grid_separation_raised_by_one_fails():
+    scheme = _mutant(mixed_grid_cover(2, 1, 4, 6), separation={0: 5})
+    rep = verify_cover(scheme, MIXED_SPEC, MIXED_WINDOW)
+    assert rep.verdict == "fail"
+    assert not rep.record(0).separation_pass
+
+
+def test_mixed_grid_bound_lowered_by_one_fails():
+    scheme = _mutant(mixed_grid_cover(2, 1, 4, 6), bound={0: 14})
+    rep = verify_cover(scheme, MIXED_SPEC, MIXED_WINDOW)
+    assert rep.verdict == "fail"
+    assert not rep.record(0).bound_pass
+
+
+def test_mixed_grid_narrowed_separator_fails():
+    # separators of width k - 1 = 3 while color 0 still declares k = 4: the
+    # long bands grow by one point, past the declared bound
+    m, k, R = 2, 4, 6
+
+    def classify(p):
+        color, l, cell, w_cell = _offset_bands(p[:m], p[m:], R, R + k, k - 1,
+                                               2)
+        return (color, (l, cell, w_cell))
+
+    scheme = _mutant(mixed_grid_cover(m, 1, k, R), classify=classify)
+    rep = verify_cover(scheme, MIXED_SPEC, MIXED_WINDOW)
+    assert rep.verdict == "fail"
+    assert rep.record(0).max_diameter == 16
