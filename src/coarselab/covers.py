@@ -300,6 +300,12 @@ def staircase_cover(n: int, r: int, dim: int | None = None,
     the stretches between consecutive short cells.  Long cells are n-disjoint
     and (T*(r+n))-bounded; short cells are r-disjoint and n-bounded on the
     moving axis.  Points on a shared endpoint go to the short color.
+
+    The phase is constant on each fiber (x, h), so the scheme keeps the last
+    scaled point it validated together with its run base phase*(r+n):
+    `fiber_runs` computes the base once per fiber and the run-path probes of
+    that fiber reuse it.  The memo is exact because both the validation and
+    the phase are pure functions of x.
     """
     if r <= n:
         raise CoverError("requires r > n")
@@ -315,18 +321,30 @@ def staircase_cover(n: int, r: int, dim: int | None = None,
 
     modulus = 2 ** r
     step = 2 ** n
+    weights = [2 ** (r * j) for j in range(dim)]
     weight_sum = sum(2 ** (r * j) for j in range(1, dim + 1))
     period = weight_sum * (r + n)
+    last_x: tuple[int, ...] | None = None
+    last_base = 0
 
-    def phase(x: Sequence[int]) -> int:
+    def base_of(x: Sequence[int]) -> int:
+        """Check that the scaled coordinates x lie in (2^n Z)^dim and return
+        phase(x) * (r+n), the offset of the run grid on x's fibers."""
+        nonlocal last_x, last_base
+        if x == last_x:
+            return last_base
         total = 0
-        for j, c in enumerate(x):
-            total += (c % modulus) * 2 ** (r * j)
-        return total
+        for c, weight in zip(x, weights):
+            if c % step != 0:
+                raise SpaceError(f"coordinate {c} not in {step}Z")
+            total += (c % modulus) * weight
+        # kept as a tuple: a list point, which a caller may mutate later,
+        # never matches it and so never reads a stale base
+        last_x, last_base = tuple(x), total * (r + n)
+        return last_base
 
-    def locate(x: Sequence[int], t: int):
+    def locate(base: int, t: int):
         """Return (color, k, run_end) for the run containing t."""
-        base = phase(x) * (r + n)
         k, m = divmod(t - base, period)
         if m == 0:
             return SHORT_COLOR, k, t
@@ -337,27 +355,33 @@ def staircase_cover(n: int, r: int, dim: int | None = None,
     def classify(p) -> "tuple[int, CellKey] | None":
         if len(p) != dim + 2:
             raise SpaceError(f"staircase point needs {dim + 2} axes")
-        x, t, h = p[:dim], p[dim], p[dim + 1]
-        for c in x:
-            if c % step != 0:
-                raise SpaceError(f"coordinate {c} not in {step}Z")
-        if not (h_lo <= h <= h_hi):
+        x = p[:dim]
+        base = base_of(x)
+        if not (h_lo <= p[dim + 1] <= h_hi):
             return None
-        color, k, _ = locate(x, t)
-        return (color, (x, k))
+        # locate(base, t) without the run end, inlined on the probe path
+        k, m = divmod(p[dim] - base, period)
+        if m == 0:
+            return (SHORT_COLOR, (x, k))
+        if m < period - n:
+            return (LONG_COLOR, (x, k))
+        return (SHORT_COLOR, (x, k + 1))
 
     def fiber_runs(fiber: tuple, lo: int, hi: int):
         """Maximal runs of constant (color, cell) on the moving axis for the
         fiber (x..., h)."""
-        x, h = fiber[:dim], fiber[dim]
+        if len(fiber) != dim + 1:
+            raise SpaceError(f"staircase fiber needs {dim + 1} axes")
+        x, h = tuple(fiber[:dim]), fiber[dim]
         if not (h_lo <= h <= h_hi):
             return [(lo, hi, None, None)]
+        base = base_of(x)
         runs = []
         t = lo
         while t <= hi:
-            color, k, end = locate(x, t)
+            color, k, end = locate(base, t)
             end = min(end, hi)
-            runs.append((t, end, color, (tuple(x), k)))
+            runs.append((t, end, color, (x, k)))
             t = end + 1
         return runs
 

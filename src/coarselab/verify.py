@@ -31,6 +31,7 @@ from .spaces import (
     iter_window,
     lattice_max_distance,
     level_penalty,
+    multiples_in,
     pad_point,
     shift_distance,
     space_distance,
@@ -501,9 +502,12 @@ def verify_cover(s: CoverScheme, spec: SpaceSpec, w: Window, *,
         raise VerifyError(f"unknown mode {mode!r}")
     runs_possible = (spec.kind == "plain-lattice"
                      and s.fiber_runs is not None
-                     and s.moving_axis is not None)
+                     and s.moving_axis is not None
+                     and s.moving_axis < len(spec.axis_steps)
+                     and spec.axis_steps[s.moving_axis] == 1)
     if mode == "runs" and not runs_possible:
-        raise VerifyError("scheme does not describe runs on a lattice axis")
+        raise VerifyError("scheme does not describe runs on a unit-step "
+                          "lattice axis")
     use_runs = runs_possible and (
         mode == "runs"
         or (mode == "auto" and _moving_extent(s, w) > RUN_AXIS_THRESHOLD))
@@ -592,7 +596,6 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
     mov = s.moving_axis
     t_lo, t_hi = w.axis_box(mov)
     fiber_axes = [i for i in range(len(spec.axis_steps)) if i != mov]
-    from .spaces import multiples_in
     value_lists = []
     for i in fiber_axes:
         a, b = w.axis_box(i)
@@ -611,10 +614,9 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
     errors: list[str] = []
     points_seen = 0
 
-    def full_point(fiber: tuple, t: int) -> tuple:
-        return fiber[:mov] + (t,) + fiber[mov:]
-
+    classify = s.classify
     for fiber in itertools.product(*value_lists):
+        head, tail = fiber[:mov], fiber[mov:]
         runs = s.fiber_runs(fiber, t_lo, t_hi)
         expected = t_lo
         for t0, t1, color, key in runs:
@@ -627,11 +629,19 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
             if color is None:
                 uncovered_total += t1 - t0 + 1
                 if len(uncovered) < max_listed:
-                    uncovered.append(full_point(fiber, t0))
+                    uncovered.append(head + (t0,) + tail)
                 continue
-            for t in {t0, (t0 + t1) // 2, t1}:
-                probe = s.classify(full_point(fiber, t))
-                if probe != (color, key):
+            # both endpoints and the midpoint, each once, in ascending order
+            if t1 - t0 >= 2:
+                probes = (t0, (t0 + t1) // 2, t1)
+            elif t1 > t0:
+                probes = (t0, t1)
+            else:
+                probes = (t0,)
+            claim = (color, key)
+            for t in probes:
+                probe = classify(head + (t,) + tail)
+                if probe != claim:
                     raise VerifyError(
                         f"run claim ({color}, {key}) at t={t} disagrees with "
                         f"classify -> {probe}"

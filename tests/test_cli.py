@@ -184,6 +184,36 @@ def test_library_errors_exit_two_with_error_report(tmp_path):
     assert report["report"]["message"].startswith("ValueError:")
 
 
+def test_staircase_on_a_lattice_missing_an_axis_exits_two(tmp_path):
+    # the staircase with r=2 needs 4 axes; the 3-axis lattice leaves each
+    # run-path fiber one axis short
+    status, report = run_cli(tmp_path, "verify", {
+        "construction": {"name": "staircase",
+                         "params": {"n": 1, "r": 2, "height": [1, 1]}},
+        "space": {"kind": "plain-lattice", "axis_steps": [2, 2, 1]},
+        "window": {"axis_boxes": {"0": [-2, 2], "1": [-2, 2],
+                                  "2": [0, 10000]}}})
+    assert status == 2
+    assert report["status"] == "error"
+    assert "fiber needs 3 axes" in report["report"]["message"]
+
+
+def test_staircase_moving_axis_past_the_lattice_fails_pointwise(tmp_path):
+    # with axis 2 missing altogether there is no run path; every pointwise
+    # point is reported as an error instead of an IndexError escaping
+    status, report = run_cli(tmp_path, "verify", {
+        "construction": {"name": "staircase",
+                         "params": {"n": 1, "r": 2, "height": [1, 1]}},
+        "space": {"kind": "plain-lattice", "axis_steps": [2, 2]},
+        "window": {"axis_boxes": {"0": [-2, 2], "1": [-2, 2],
+                                  "2": [0, 10000]}}})
+    assert status == 1
+    body = report["report"]
+    assert (body["verdict"], body["mode"], body["error_total"]) == \
+        ("fail", "pointwise", 9)
+    assert body["error_sample"][0].endswith("staircase point needs 4 axes")
+
+
 def test_missing_config_file_exits_two(capsys):
     assert main(["verify", "--config", "/nonexistent/config.json"]) == 2
 

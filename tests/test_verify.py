@@ -4,8 +4,11 @@ witness search, coarse controls and the exhaustive 1-D search."""
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarselab.covers import (
+    SHORT_COLOR,
     CoverScheme,
     _offset_bands,
     grid_cover,
@@ -27,6 +30,7 @@ from coarselab.spaces import (
     space_distance,
 )
 from coarselab.verify import (
+    RUN_AXIS_THRESHOLD,
     BudgetExceeded,
     VerifyError,
     assignment_scheme,
@@ -503,28 +507,64 @@ def test_engine_matches_brute_on_random_block_schemes():
         assert_engine_matches_brute(scheme, spec, w)
 
 
-def test_run_path_matches_pointwise_on_random_staircases():
-    import random as _random
-    rng = _random.Random(77)
-    for trial in range(6):
-        n = rng.randint(1, 2)
-        r = n + rng.randint(1, 2)
-        dim = rng.randint(1, 2)
-        scheme = staircase_cover(n, r, dim=dim, height_interval=(0, 0))
-        spec = SpaceSpec.lattice((2 ** n,) * dim + (1, 1))
-        half = 2 ** r * rng.randint(1, 3)
-        t_half = rng.randint(40, 200)
-        axis_boxes = {j: (-half, half) for j in range(dim)}
-        axis_boxes[dim] = (-t_half, t_half)
-        axis_boxes[dim + 1] = (0, 0)
-        w = Window.make(axis_boxes=axis_boxes)
-        a = verify_cover(scheme, spec, w, mode="pointwise")
-        b = verify_cover(scheme, spec, w, mode="runs")
-        for ra, rb in zip(a.per_color, b.per_color):
-            assert ra.cells_seen == rb.cells_seen
-            assert ra.max_diameter == rb.max_diameter
-            assert (ra.min_cross_cell_separation
-                    == rb.min_cross_cell_separation)
+@st.composite
+def staircase_windows(draw):
+    """A staircase scheme with n <= 2, r <= n + 2, dim <= 2 and a height
+    interval anywhere in [-3, 5], over a window whose scaled boxes sit
+    anywhere (negative, off-centre) and span at least 2^r, so every phase
+    class on an axis appears.  The height axis holds one covered height,
+    alone or next to an uncovered one, so every cell lies on one fiber."""
+    n = draw(st.integers(1, 2))
+    r = draw(st.integers(n + 1, n + 2))
+    dim = draw(st.integers(1, 2))
+    h_lo = draw(st.integers(-3, 3))
+    h_hi = h_lo + draw(st.integers(0, 2))
+    scheme = staircase_cover(n, r, dim=dim, height_interval=(h_lo, h_hi))
+    axis_boxes = {}
+    for j in range(dim):
+        lo = draw(st.integers(-3 * 2 ** r, 2 ** r))
+        axis_boxes[j] = (lo, lo + draw(st.integers(2 ** r, 3 * 2 ** r)))
+    t_lo = draw(st.integers(-300, 100))
+    axis_boxes[dim] = (t_lo, t_lo + draw(st.integers(80, 400)))
+    axis_boxes[dim + 1] = draw(st.sampled_from(
+        [(h, h) for h in range(h_lo, h_hi + 1)]
+        + [(h_lo - 1, h_lo), (h_hi, h_hi + 1)]))
+    spec = SpaceSpec.lattice((2 ** n,) * dim + (1, 1))
+    return scheme, spec, Window.make(axis_boxes=axis_boxes)
+
+
+@settings(deadline=None, max_examples=60)
+@given(staircase_windows())
+def test_run_path_matches_pointwise_on_random_staircases(case):
+    scheme, spec, w = case
+    a = verify_cover(scheme, spec, w, mode="pointwise")
+    b = verify_cover(scheme, spec, w, mode="runs")
+    assert (a.verdict, a.points_seen, a.uncovered_total, a.error_total) == \
+        (b.verdict, b.points_seen, b.uncovered_total, b.error_total)
+    assert a.per_color == b.per_color
+
+
+def test_run_path_needs_a_unit_step_on_the_moving_axis():
+    # on 2Z the run path would count and probe every integer t, including
+    # the odd ones the lattice does not hold
+    scheme = staircase_cover(1, 2, dim=2, height_interval=(1, 1))
+    spec = SpaceSpec.lattice((2, 2, 2, 1))
+    w = Window.make(axis_boxes={0: (-8, 8), 1: (-8, 8),
+                                2: (1, 181), 3: (1, 1)})
+    with pytest.raises(VerifyError, match="unit-step lattice axis"):
+        verify_cover(scheme, spec, w, mode="runs")
+    rep = verify_cover(scheme, spec, w, mode="pointwise")
+    assert rep.points_seen == 7290
+    assert rep.record(0).max_diameter == 56
+    # a moving axis past the run threshold still takes the pointwise path
+    long_w = Window.make(axis_boxes={0: (-2, 2), 1: (-2, 2),
+                                     2: (0, 2 * RUN_AXIS_THRESHOLD),
+                                     3: (1, 1)})
+    auto = verify_cover(scheme, spec, long_w)
+    assert auto.mode == "pointwise"
+    assert auto.points_seen == 9 * (RUN_AXIS_THRESHOLD + 1)
+    assert auto.per_color == verify_cover(scheme, spec, long_w,
+                                          mode="pointwise").per_color
 
 
 def test_oracle_outcome_round_trips_through_json():
@@ -548,13 +588,16 @@ MIXED_WINDOW = Window.make(axis_boxes={0: (-30, 30), 1: (-30, 30),
 MIXED_SPEC = SpaceSpec.lattice((1, 1, 4))
 
 
-def _mutant(scheme, classify=None, separation=None, bound=None):
+def _mutant(scheme, classify=None, separation=None, bound=None,
+            fiber_runs=None):
     return CoverScheme(
         classify=classify or scheme.classify, colors=scheme.colors,
         declared_separation={**scheme.declared_separation,
                              **(separation or {})},
         declared_bound={**scheme.declared_bound, **(bound or {})},
         domain_note="mutant of " + scheme.domain_note,
+        moving_axis=scheme.moving_axis,
+        fiber_runs=fiber_runs or scheme.fiber_runs,
     )
 
 
@@ -596,3 +639,54 @@ def test_mixed_grid_narrowed_separator_fails():
     rep = verify_cover(scheme, MIXED_SPEC, MIXED_WINDOW)
     assert rep.verdict == "fail"
     assert rep.record(0).max_diameter == 16
+
+
+STAIR_WINDOW = Window.make(axis_boxes={0: (-16, 16), 1: (-16, 16),
+                                      2: (0, 180), 3: (1, 1)})
+STAIR_SPEC = SpaceSpec.lattice((2, 2, 1, 1))
+
+
+def _staircase():
+    return staircase_cover(1, 2, dim=2, height_interval=(1, 1))
+
+
+@pytest.mark.parametrize("mode", ["pointwise", "runs"])
+def test_staircase_reference_window_passes_on_both_paths(mode):
+    rep = verify_cover(_staircase(), STAIR_SPEC, STAIR_WINDOW, mode=mode)
+    assert rep.verdict == "pass"
+    measured = [(rec.cells_seen, rec.max_diameter,
+                 rec.min_cross_cell_separation) for rec in rep.per_color]
+    assert measured == [(1075, 57, 2), (948, 1, 4)]
+
+
+@pytest.mark.parametrize("declared, color, check", [
+    ({"separation": {0: 3}}, 0, "separation_pass"),  # long measures 2
+    ({"bound": {0: 56}}, 0, "bound_pass"),           # long measures 57
+    ({"separation": {1: 5}}, 1, "separation_pass"),  # short measures 4
+])
+def test_staircase_declared_value_mutants_fail_on_both_paths(declared, color,
+                                                             check):
+    scheme = _mutant(_staircase(), **declared)
+    reps = [verify_cover(scheme, STAIR_SPEC, STAIR_WINDOW, mode=mode)
+            for mode in ("pointwise", "runs")]
+    assert [rep.verdict for rep in reps] == ["fail", "fail"]
+    assert reps[0].per_color == reps[1].per_color
+    assert not getattr(reps[0].record(color), check)
+
+
+def test_staircase_runs_ending_early_disagree_with_classify():
+    # each short run hands its last point to the long run after it, while
+    # classify still puts that point in the short cell
+    good = _staircase()
+
+    def fiber_runs(fiber, t_lo, t_hi):
+        runs = [list(run) for run in good.fiber_runs(fiber, t_lo, t_hi)]
+        for run, after in zip(runs, runs[1:]):
+            if run[2] == SHORT_COLOR and run[1] > run[0]:
+                run[1] -= 1
+                after[0] -= 1
+        return [tuple(run) for run in runs]
+
+    scheme = _mutant(good, fiber_runs=fiber_runs)
+    with pytest.raises(VerifyError, match="disagrees with classify"):
+        verify_cover(scheme, STAIR_SPEC, STAIR_WINDOW, mode="runs")
