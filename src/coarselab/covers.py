@@ -343,14 +343,17 @@ def staircase_cover(n: int, r: int, dim: int | None = None,
         last_x, last_base = tuple(x), total * (r + n)
         return last_base
 
-    def locate(base: int, t: int):
-        """Return (color, k, run_end) for the run containing t."""
+    def cell_of(base: int, t: int) -> tuple[int, int]:
+        """Return (color, k) for the run containing t on a fiber whose run
+        grid starts at base: long run k is base+k*period+1 ..
+        base+(k+1)*period-n-1 and short run k is base+k*period-n ..
+        base+k*period."""
         k, m = divmod(t - base, period)
         if m == 0:
-            return SHORT_COLOR, k, t
-        if m <= period - n - 1:
-            return LONG_COLOR, k, base + (k + 1) * period - n - 1
-        return SHORT_COLOR, k + 1, base + (k + 1) * period
+            return SHORT_COLOR, k
+        if m < period - n:
+            return LONG_COLOR, k
+        return SHORT_COLOR, k + 1
 
     def classify(p) -> "tuple[int, CellKey] | None":
         if len(p) != dim + 2:
@@ -359,13 +362,8 @@ def staircase_cover(n: int, r: int, dim: int | None = None,
         base = base_of(x)
         if not (h_lo <= p[dim + 1] <= h_hi):
             return None
-        # locate(base, t) without the run end, inlined on the probe path
-        k, m = divmod(p[dim] - base, period)
-        if m == 0:
-            return (SHORT_COLOR, (x, k))
-        if m < period - n:
-            return (LONG_COLOR, (x, k))
-        return (SHORT_COLOR, (x, k + 1))
+        color, k = cell_of(base, p[dim])
+        return (color, (x, k))
 
     def fiber_runs(fiber: tuple, lo: int, hi: int):
         """Maximal runs of constant (color, cell) on the moving axis for the
@@ -379,7 +377,11 @@ def staircase_cover(n: int, r: int, dim: int | None = None,
         runs = []
         t = lo
         while t <= hi:
-            color, k, end = locate(base, t)
+            color, k = cell_of(base, t)
+            if color == SHORT_COLOR:
+                end = base + k * period
+            else:
+                end = base + (k + 1) * period - n - 1
             end = min(end, hi)
             runs.append((t, end, color, (x, k)))
             t = end + 1

@@ -500,17 +500,25 @@ def verify_cover(s: CoverScheme, spec: SpaceSpec, w: Window, *,
     """
     if mode not in ("auto", "pointwise", "runs"):
         raise VerifyError(f"unknown mode {mode!r}")
-    runs_possible = (spec.kind == "plain-lattice"
-                     and s.fiber_runs is not None
-                     and s.moving_axis is not None
-                     and s.moving_axis < len(spec.axis_steps)
-                     and spec.axis_steps[s.moving_axis] == 1)
+    runs_shaped = (spec.kind == "plain-lattice"
+                   and s.fiber_runs is not None
+                   and s.moving_axis is not None
+                   and s.moving_axis < len(spec.axis_steps))
+    runs_possible = runs_shaped and spec.axis_steps[s.moving_axis] == 1
     if mode == "runs" and not runs_possible:
         raise VerifyError("scheme does not describe runs on a unit-step "
                           "lattice axis")
-    use_runs = runs_possible and (
-        mode == "runs"
-        or (mode == "auto" and _moving_extent(s, w) > RUN_AXIS_THRESHOLD))
+    long_axis = (mode == "auto" and runs_shaped
+                 and _moving_extent(s, w) > RUN_AXIS_THRESHOLD)
+    if long_axis and not runs_possible:
+        # too long to enumerate, and the run path would count the points
+        # the step leaves out
+        raise VerifyError(
+            f"moving axis {s.moving_axis} has step "
+            f"{spec.axis_steps[s.moving_axis]}: too long to enumerate and "
+            f"the run path needs a unit-step lattice axis; use "
+            f"mode='pointwise' to enumerate it")
+    use_runs = runs_possible and (mode == "runs" or long_axis)
     if not use_runs:
         size = window_size(spec, w)
         if point_budget is not None and size > point_budget:

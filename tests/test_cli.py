@@ -198,6 +198,19 @@ def test_staircase_on_a_lattice_missing_an_axis_exits_two(tmp_path):
     assert "fiber needs 3 axes" in report["report"]["message"]
 
 
+def test_staircase_long_non_unit_moving_axis_exits_two(tmp_path):
+    # a 2Z moving axis of 10^9 integers is neither enumerated nor run
+    status, report = run_cli(tmp_path, "verify", {
+        "construction": {"name": "staircase",
+                         "params": {"n": 1, "r": 2, "height": [1, 1]}},
+        "space": {"kind": "plain-lattice", "axis_steps": [2, 2, 2, 1]},
+        "window": {"axis_boxes": {"0": [-2, 2], "1": [-2, 2],
+                                  "2": [0, 1000000000], "3": [1, 1]}}})
+    assert status == 2
+    assert report["status"] == "error"
+    assert "too long to enumerate" in report["report"]["message"]
+
+
 def test_staircase_moving_axis_past_the_lattice_fails_pointwise(tmp_path):
     # with axis 2 missing altogether there is no run path; every pointwise
     # point is reported as an error instead of an IndexError escaping

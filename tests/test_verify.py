@@ -523,7 +523,7 @@ def staircase_windows(draw):
     axis_boxes = {}
     for j in range(dim):
         lo = draw(st.integers(-3 * 2 ** r, 2 ** r))
-        axis_boxes[j] = (lo, lo + draw(st.integers(2 ** r, 3 * 2 ** r)))
+        axis_boxes[j] = (lo, lo + draw(st.integers(2 ** r, 6 * 2 ** r)))
     t_lo = draw(st.integers(-300, 100))
     axis_boxes[dim] = (t_lo, t_lo + draw(st.integers(80, 400)))
     axis_boxes[dim + 1] = draw(st.sampled_from(
@@ -556,15 +556,29 @@ def test_run_path_needs_a_unit_step_on_the_moving_axis():
     rep = verify_cover(scheme, spec, w, mode="pointwise")
     assert rep.points_seen == 7290
     assert rep.record(0).max_diameter == 56
-    # a moving axis past the run threshold still takes the pointwise path
-    long_w = Window.make(axis_boxes={0: (-2, 2), 1: (-2, 2),
-                                     2: (0, 2 * RUN_AXIS_THRESHOLD),
-                                     3: (1, 1)})
-    auto = verify_cover(scheme, spec, long_w)
+    # up to the run threshold, auto enumerates the 2Z axis pointwise
+    short_w = Window.make(axis_boxes={0: (-2, 2), 1: (-2, 2),
+                                      2: (0, RUN_AXIS_THRESHOLD - 1),
+                                      3: (1, 1)})
+    auto = verify_cover(scheme, spec, short_w)
     assert auto.mode == "pointwise"
-    assert auto.points_seen == 9 * (RUN_AXIS_THRESHOLD + 1)
-    assert auto.per_color == verify_cover(scheme, spec, long_w,
+    assert auto.points_seen == 9 * RUN_AXIS_THRESHOLD // 2
+    assert auto.per_color == verify_cover(scheme, spec, short_w,
                                           mode="pointwise").per_color
+
+
+@pytest.mark.parametrize("t_hi", [RUN_AXIS_THRESHOLD, 10 ** 9])
+def test_auto_refuses_a_long_non_unit_moving_axis(t_hi):
+    # past the threshold neither path fits: enumerating a 2Z axis of 10^9
+    # integers would build the whole window, and runs would miscount it
+    scheme = staircase_cover(1, 2, dim=2, height_interval=(1, 1))
+    spec = SpaceSpec.lattice((2, 2, 2, 1))
+    w = Window.make(axis_boxes={0: (-2, 2), 1: (-2, 2), 2: (0, t_hi),
+                                3: (1, 1)})
+    with pytest.raises(VerifyError, match="too long to enumerate"):
+        verify_cover(scheme, spec, w)
+    with pytest.raises(VerifyError, match="too long to enumerate"):
+        verify_cover(scheme, spec, w, point_budget=10 ** 12)
 
 
 def test_oracle_outcome_round_trips_through_json():
