@@ -2,6 +2,8 @@
 spaces, with empirical verification of disjointness, boundedness, coverage,
 embedding controls, witness existence, and finite set-system rank."""
 
+__version__ = "0.1.0"
+
 from .covers import (
     CoverError,
     CoverScheme,
@@ -49,5 +51,3 @@ from .verify import (
     oracle_1d_nocover,
     verify_cover,
 )
-
-__version__ = "0.1.0"

@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import acceptance
+from . import __version__, acceptance
 from .covers import (
     FiniteFamily,
     fiber_product_cover,
@@ -53,8 +53,6 @@ from .verify import (
     verify_cover,
 )
 
-VERSION = "0.1.0"
-
 
 class ConfigError(ValueError):
     pass
@@ -64,20 +62,22 @@ class ConfigError(ValueError):
 # config parsing
 # ---------------------------------------------------------------------------
 
+SPACE_BUILDERS = {
+    "tower": lambda cfg: SpaceSpec.tower(cfg.get("step", "identity")),
+    "tower-with-factor": lambda cfg: SpaceSpec.tower_with_factor(
+        cfg.get("step", "identity"), cfg.get("factor_dim", 1)),
+    "product-of-towers": lambda cfg: SpaceSpec.product_of_towers(
+        cfg.get("step", "identity")),
+    "shift-union": lambda cfg: SpaceSpec.shift_union(),
+    "plain-lattice": lambda cfg: SpaceSpec.lattice(tuple(cfg["axis_steps"])),
+}
+
+
 def parse_space(cfg: dict) -> SpaceSpec:
-    kind = cfg.get("kind")
-    if kind in ("tower", "product-of-towers"):
-        builder = (SpaceSpec.tower if kind == "tower"
-                   else SpaceSpec.product_of_towers)
-        return builder(cfg.get("step", "identity"))
-    if kind == "tower-with-factor":
-        return SpaceSpec.tower_with_factor(cfg.get("step", "identity"),
-                                           cfg.get("factor_dim", 1))
-    if kind == "shift-union":
-        return SpaceSpec.shift_union()
-    if kind == "plain-lattice":
-        return SpaceSpec.lattice(tuple(cfg["axis_steps"]))
-    raise ConfigError(f"unknown space kind {kind!r}")
+    build = SPACE_BUILDERS.get(cfg.get("kind"))
+    if build is None:
+        raise ConfigError(f"unknown space kind {cfg.get('kind')!r}")
+    return build(cfg)
 
 
 def parse_window(cfg: dict) -> Window:
@@ -369,7 +369,7 @@ def run_experiment(kind: str, config: dict, *, out: str | None = None,
         "status": body.get("status", "error"),
         "config": {**config, "kind": kind, "limits": limits},
         "report": body,
-        "version": VERSION,
+        "version": __version__,
     }
     text = json.dumps(envelope, indent=2, sort_keys=True)
     if out:
@@ -401,7 +401,7 @@ def main(argv: list[str] | None = None) -> int:
             config = json.loads(Path(args.config).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             print(json.dumps({"status": "error", "message": str(exc),
-                              "version": VERSION}))
+                              "version": __version__}))
             return 2
     else:
         config = {}

@@ -27,6 +27,8 @@ from .spaces import (
     TowerPoint,
     evaluate_map,
     lattice_max_distance,
+    level_height,
+    sorted_min_gap,
 )
 
 CellKey = tuple
@@ -543,7 +545,7 @@ def product_square_cover(k: int, n: int) -> CoverScheme:
     colors = base_mix_b + (mixed.colors - 1)
 
     def flatten_mid(q: TowerPoint) -> tuple[tuple[int, ...], int]:
-        return (q.coords + (0,) * (n - q.level), q.level * (q.level - 1) // 2)
+        return (q.coords + (0,) * (n - q.level), level_height(q.level))
 
     def classify(p) -> "tuple[int, CellKey] | None":
         if not (isinstance(p, tuple) and len(p) == 2
@@ -756,25 +758,7 @@ def set_distance(A: Iterable, B: Iterable, dist: Callable) -> int:
         raise CoverError("set distance needs nonempty sets")
     if (dist is lattice_max_distance
             and all(isinstance(p, tuple) and len(p) == 1 for p in A[:1] + B[:1])):
-        xs = sorted(p[0] for p in A)
-        ys = sorted(p[0] for p in B)
-        best = None
-        i = j = 0
-        while i < len(xs) and j < len(ys):
-            d = abs(xs[i] - ys[j])
-            if best is None or d < best:
-                best = d
-            if xs[i] < ys[j]:
-                i += 1
-            else:
-                j += 1
-        for ii in range(i, len(xs)):
-            d = abs(xs[ii] - ys[-1])
-            best = d if best is None or d < best else best
-        for jj in range(j, len(ys)):
-            d = abs(xs[-1] - ys[jj])
-            best = d if best is None or d < best else best
-        return best
+        return sorted_min_gap(sorted(p[0] for p in A), sorted(p[0] for p in B))
     return min(dist(a, b) for a in A for b in B)
 
 

@@ -4,15 +4,19 @@ Every space here is a set of integer vectors with an exact metric: tower
 spaces (a union of scaled lattices of growing dimension with a level-penalty
 maximum metric), their products, plain lattices with per-axis scales, and the
 shift-union space carried by finitely supported integer sequences with an
-l1-plus-level metric.  All operations are pure and use arbitrary-precision
-integers only; nothing here is ever approximated.
+l1-plus-level metric.  Each kind is one `SpaceSpec` subclass, and each
+metric is l-infinity or l1 on the integer rows its `rows` method builds.
+All operations are pure and use arbitrary-precision integers only; nothing
+here is ever approximated.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, ClassVar, Iterator, Mapping, Sequence
 
 
 class SpaceError(ValueError):
@@ -127,110 +131,6 @@ Point = object
 
 
 # ---------------------------------------------------------------------------
-# space specifications
-# ---------------------------------------------------------------------------
-
-_KINDS = ("tower", "tower-with-factor", "shift-union", "product-of-towers",
-          "plain-lattice")
-
-
-@dataclass(frozen=True, slots=True)
-class SpaceSpec:
-    """Which space is in play: kind, per-level step, factor dimension and
-    metric flavor."""
-
-    kind: str
-    step_name: str = "identity"
-    factor_dim: int = 0
-    axis_steps: tuple[int, ...] = ()
-    metric: str = "max"
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise SpaceError(f"unknown space kind {self.kind!r}")
-        if self.kind == "shift-union" and self.metric != "l1-shift":
-            raise SpaceError("shift-union space uses the l1-shift metric")
-        if self.kind != "shift-union" and self.metric != "max":
-            raise SpaceError(f"{self.kind} space uses the max metric")
-        if self.kind == "plain-lattice" and not self.axis_steps:
-            raise SpaceError("plain-lattice needs axis_steps")
-        if any(s < 1 for s in self.axis_steps):
-            raise SpaceError("axis steps must be positive")
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def tower(cls, step: str = "identity") -> "SpaceSpec":
-        return cls(kind="tower", step_name=step)
-
-    @classmethod
-    def tower_with_factor(cls, step: str, factor_dim: int) -> "SpaceSpec":
-        return cls(kind="tower-with-factor", step_name=step,
-                   factor_dim=factor_dim)
-
-    @classmethod
-    def shift_union(cls) -> "SpaceSpec":
-        return cls(kind="shift-union", metric="l1-shift")
-
-    @classmethod
-    def product_of_towers(cls, step: str = "pow2") -> "SpaceSpec":
-        return cls(kind="product-of-towers", step_name=step)
-
-    @classmethod
-    def lattice(cls, axis_steps: Sequence[int]) -> "SpaceSpec":
-        return cls(kind="plain-lattice", axis_steps=tuple(axis_steps))
-
-    # -- helpers -----------------------------------------------------------
-
-    @property
-    def step(self) -> Callable[[int], int]:
-        return STEP_FUNCTIONS[self.step_name]
-
-    def validate(self, p) -> None:
-        """Raise SpaceError unless `p` is a point of this space."""
-        if self.kind in ("tower", "tower-with-factor"):
-            if not isinstance(p, TowerPoint):
-                raise SpaceError(f"expected TowerPoint, got {type(p).__name__}")
-            if len(p.extra) != self.factor_dim:
-                raise SpaceError(
-                    f"extra block has {len(p.extra)} coords, space wants "
-                    f"{self.factor_dim}"
-                )
-            s = self.step(p.level)
-            for j, c in enumerate(p.coords):
-                if c % s != 0:
-                    raise SpaceError(
-                        f"coord {c} at axis {j} not divisible by step {s} "
-                        f"of level {p.level}"
-                    )
-        elif self.kind == "shift-union":
-            if not isinstance(p, ShiftPoint):
-                raise SpaceError(f"expected ShiftPoint, got {type(p).__name__}")
-            problem = p.membership_error()
-            if problem is not None:
-                raise SpaceError(problem)
-        elif self.kind == "product-of-towers":
-            if not (isinstance(p, tuple) and len(p) == 2
-                    and all(isinstance(q, TowerPoint) for q in p)):
-                raise SpaceError("expected a pair of TowerPoints")
-            factor = SpaceSpec.tower(self.step_name)
-            factor.validate(p[0])
-            factor.validate(p[1])
-        else:  # plain-lattice
-            if not (isinstance(p, tuple)
-                    and len(p) == len(self.axis_steps)
-                    and all(isinstance(c, int) for c in p)):
-                raise SpaceError(
-                    f"expected a {len(self.axis_steps)}-tuple of ints"
-                )
-            for j, (c, s) in enumerate(zip(p, self.axis_steps)):
-                if c % s != 0:
-                    raise SpaceError(
-                        f"coord {c} at axis {j} not divisible by {s}"
-                    )
-
-
-# ---------------------------------------------------------------------------
 # windows
 # ---------------------------------------------------------------------------
 
@@ -316,14 +216,40 @@ def multiples_in(lo: int, hi: int, step: int) -> list[int]:
 def lattice_max_distance(p: Sequence[int], q: Sequence[int]) -> int:
     if len(p) != len(q):
         raise SpaceError("dimension mismatch")
-    return max((abs(a - b) for a, b in zip(p, q)), default=0)
+    return max(map(abs, map(operator.sub, p, q)), default=0)
+
+
+def l1_distance(p: Sequence[int], q: Sequence[int]) -> int:
+    """Sum of coordinatewise gaps between two rows of equal length."""
+    return sum(map(abs, map(operator.sub, p, q)))
+
+
+def sorted_min_gap(xs: Sequence[int], ys: Sequence[int]) -> int:
+    """Least |x - y| over two ascending integer lists, in one merge pass;
+    0 when either list is empty."""
+    best = None
+    i = j = 0
+    while i < len(xs) and j < len(ys):
+        d = abs(xs[i] - ys[j])
+        if best is None or d < best:
+            best = d
+        if best == 0:
+            return 0
+        if xs[i] < ys[j]:
+            i += 1
+        else:
+            j += 1
+    return best if best is not None else 0
+
+
+def level_height(level: int) -> int:
+    """T(level) = 0 + 1 + ... + (level-1), the height the tower maps append."""
+    return level * (level - 1) // 2
 
 
 def level_penalty(lo_level: int, hi_level: int) -> int:
     """Sum lo + (lo+1) + ... + (hi-1); zero when the levels agree."""
-    if lo_level == hi_level:
-        return 0
-    return (hi_level - 1 + lo_level) * (hi_level - lo_level) // 2
+    return level_height(hi_level) - level_height(lo_level)
 
 
 def pad_point(p: TowerPoint, target_level: int) -> tuple[int, ...]:
@@ -336,7 +262,8 @@ def pad_point(p: TowerPoint, target_level: int) -> tuple[int, ...]:
 
 
 def tower_distance(a: TowerPoint, b: TowerPoint) -> int:
-    """Max metric on zero-padded coordinates, floored by the level penalty."""
+    """Max metric on zero-padded coordinates, floored by the level penalty.
+    The reference formula the row metric of `TowerSpace` is tested against."""
     if len(a.extra) != len(b.extra):
         raise SpaceError("mismatched extra-block dimensions")
     lo, hi = (a, b) if a.level <= b.level else (b, a)
@@ -345,7 +272,8 @@ def tower_distance(a: TowerPoint, b: TowerPoint) -> int:
 
 
 def shift_distance(x: ShiftPoint, y: ShiftPoint) -> int:
-    """Coordinatewise l1 difference plus the level difference."""
+    """Coordinatewise l1 difference plus the level difference.  The reference
+    formula the row metric of `ShiftUnionSpace` is tested against."""
     xs = dict(x.support)
     ys = dict(y.support)
     total = abs(x.level - y.level)
@@ -354,123 +282,259 @@ def shift_distance(x: ShiftPoint, y: ShiftPoint) -> int:
     return total
 
 
+# ---------------------------------------------------------------------------
+# space specifications
+# ---------------------------------------------------------------------------
+#
+# Every metric here is a plain metric on integer rows.  `rows(points)` gives
+# one row per point, all of one shape, and a space's distance is l-infinity
+# between rows, or l1 where the space sets `l1`.  Rows are only comparable
+# when they come from one call, so callers pass every point they compare.
+
+
+@dataclass(frozen=True, slots=True)
+class SpaceSpec:
+    """Which space is in play.  One subclass per kind, built by the
+    classmethods below; each defines `validate(p)`, `iter(window)`,
+    `rows(points)`, and the per-level axis lists `_blocks(window)` that
+    `size` counts (or its own `size`)."""
+
+    kind: ClassVar[str]
+    l1: ClassVar[bool] = False  # rows are measured in l1, else in l-infinity
+
+    # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def tower(cls, step: str = "identity") -> "TowerSpace":
+        return TowerSpace(step)
+
+    @classmethod
+    def tower_with_factor(cls, step: str, factor_dim: int) -> "TowerSpace":
+        return TowerSpace(step, factor_dim)
+
+    @classmethod
+    def shift_union(cls) -> "ShiftUnionSpace":
+        return ShiftUnionSpace()
+
+    @classmethod
+    def product_of_towers(cls, step: str = "pow2") -> "ProductSpace":
+        return ProductSpace(step)
+
+    @classmethod
+    def lattice(cls, axis_steps: Sequence[int]) -> "LatticeSpace":
+        return LatticeSpace(tuple(axis_steps))
+
+    # -- shared behaviour --------------------------------------------------
+
+    def distance(self, p, q) -> int:
+        a, b = self.rows([p, q])
+        return l1_distance(a, b) if self.l1 else lattice_max_distance(a, b)
+
+    def size(self, w: Window) -> int:
+        """Number of points `iter(w)` yields, without enumerating."""
+        return sum(math.prod(map(len, axes)) for _, axes in self._blocks(w))
+
+
+@dataclass(frozen=True, slots=True)
+class TowerSpace(SpaceSpec):
+    """Scaled lattices of growing dimension, each point optionally carrying
+    an extra block of `factor_dim` axes.
+
+    A row is the point zero-padded to the highest level in play, extra block
+    last, then its level height T(level) = level(level-1)/2.  The level
+    penalty is T(hi) - T(lo), so l-infinity on rows is `tower_distance`.
+    """
+
+    step_name: str = "identity"
+    factor_dim: int = 0
+
+    @property
+    def kind(self) -> str:
+        return "tower-with-factor" if self.factor_dim else "tower"
+
+    @property
+    def step(self) -> Callable[[int], int]:
+        return STEP_FUNCTIONS[self.step_name]
+
+    def validate(self, p) -> None:
+        """Raise SpaceError unless `p` is a point of this space."""
+        if not isinstance(p, TowerPoint):
+            raise SpaceError(f"expected TowerPoint, got {type(p).__name__}")
+        if len(p.extra) != self.factor_dim:
+            raise SpaceError(
+                f"extra block has {len(p.extra)} coords, space wants "
+                f"{self.factor_dim}"
+            )
+        s = self.step(p.level)
+        for j, c in enumerate(p.coords):
+            if c % s != 0:
+                raise SpaceError(
+                    f"coord {c} at axis {j} not divisible by step {s} "
+                    f"of level {p.level}"
+                )
+
+    def _blocks(self, w: Window) -> Iterator[tuple[int, list]]:
+        if w.levels is None:
+            raise WindowError("tower window needs a level range")
+        lo, hi = w.levels
+        if lo < 1:
+            raise WindowError("tower levels start at 1")
+        for level in range(lo, hi + 1):
+            s = self.step(level)
+            axes = [multiples_in(*w.axis_box(j), s) for j in range(level)]
+            for j in range(self.factor_dim):
+                a, b = w.axis_box(hi + j)
+                axes.append(range(a, b + 1))
+            yield level, axes
+
+    def iter(self, w: Window) -> Iterator[TowerPoint]:
+        for level, axes in self._blocks(w):
+            for combo in itertools.product(*axes):
+                yield TowerPoint(level, combo[:level], combo[level:])
+
+    def rows(self, points: Sequence[TowerPoint]) -> list[tuple[int, ...]]:
+        if len({len(p.extra) for p in points}) > 1:
+            raise SpaceError("mismatched extra-block dimensions")
+        top = max((p.level for p in points), default=1)
+        return [p.coords + (0,) * (top - p.level) + p.extra
+                + (level_height(p.level),) for p in points]
+
+
+@dataclass(frozen=True, slots=True)
+class ProductSpace(SpaceSpec):
+    """Pairs of tower points under the max of the two factor distances; a
+    row is the two factor rows joined."""
+
+    kind: ClassVar[str] = "product-of-towers"
+    step_name: str = "pow2"
+
+    @property
+    def factor(self) -> TowerSpace:
+        return TowerSpace(self.step_name)
+
+    def validate(self, p) -> None:
+        if not (isinstance(p, tuple) and len(p) == 2
+                and all(isinstance(q, TowerPoint) for q in p)):
+            raise SpaceError("expected a pair of TowerPoints")
+        self.factor.validate(p[0])
+        self.factor.validate(p[1])
+
+    def size(self, w: Window) -> int:
+        return self.factor.size(w) ** 2
+
+    def iter(self, w: Window) -> Iterator[tuple[TowerPoint, TowerPoint]]:
+        yield from itertools.product(list(self.factor.iter(w)), repeat=2)
+
+    def rows(self, points: Sequence[tuple]) -> list[tuple[int, ...]]:
+        firsts = self.factor.rows([p[0] for p in points])
+        seconds = self.factor.rows([p[1] for p in points])
+        return [a + b for a, b in zip(firsts, seconds)]
+
+
+@dataclass(frozen=True, slots=True)
+class ShiftUnionSpace(SpaceSpec):
+    """Finitely supported sequences under the l1-plus-level metric.  A row is
+    (level, v_i, ...) over every index some point in play supports."""
+
+    kind: ClassVar[str] = "shift-union"
+    l1: ClassVar[bool] = True
+
+    def validate(self, p) -> None:
+        if not isinstance(p, ShiftPoint):
+            raise SpaceError(f"expected ShiftPoint, got {type(p).__name__}")
+        problem = p.membership_error()
+        if problem is not None:
+            raise SpaceError(problem)
+
+    def _blocks(self, w: Window) -> Iterator[tuple[int, list]]:
+        if w.levels is None or w.max_support is None:
+            raise WindowError("shift window needs levels and max_support")
+        lo, hi = w.levels
+        for level in range(lo, hi + 1):
+            yield level, [multiples_in(*w.axis_box(i), i - level + 1)
+                          for i in range(level, w.max_support + 1)]
+
+    def iter(self, w: Window) -> Iterator[ShiftPoint]:
+        for level, axes in self._blocks(w):
+            for combo in itertools.product(*axes):
+                yield ShiftPoint(level, tuple(
+                    (i, v) for i, v in enumerate(combo, level) if v != 0))
+
+    def rows(self, points: Sequence[ShiftPoint]) -> list[tuple[int, ...]]:
+        indices = sorted({i for p in points for i, _ in p.support})
+        column = {i: c for c, i in enumerate(indices, 1)}
+        out = []
+        for p in points:
+            row = [0] * (len(indices) + 1)
+            row[0] = p.level
+            for i, v in p.support:
+                row[column[i]] = v
+            out.append(tuple(row))
+        return out
+
+
+@dataclass(frozen=True, slots=True)
+class LatticeSpace(SpaceSpec):
+    """Integer vectors with per-axis steps under the max metric; points are
+    their own rows."""
+
+    kind: ClassVar[str] = "plain-lattice"
+    axis_steps: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if not self.axis_steps:
+            raise SpaceError("plain-lattice needs axis_steps")
+        if any(s < 1 for s in self.axis_steps):
+            raise SpaceError("axis steps must be positive")
+
+    def validate(self, p) -> None:
+        if not (isinstance(p, tuple)
+                and len(p) == len(self.axis_steps)
+                and all(isinstance(c, int) for c in p)):
+            raise SpaceError(
+                f"expected a {len(self.axis_steps)}-tuple of ints"
+            )
+        for j, (c, s) in enumerate(zip(p, self.axis_steps)):
+            if c % s != 0:
+                raise SpaceError(
+                    f"coord {c} at axis {j} not divisible by {s}"
+                )
+
+    def _blocks(self, w: Window) -> Iterator[tuple[int, list]]:
+        yield 0, [multiples_in(*w.axis_box(j), s)
+                  for j, s in enumerate(self.axis_steps)]
+
+    def iter(self, w: Window) -> Iterator[tuple[int, ...]]:
+        for _, axes in self._blocks(w):
+            yield from itertools.product(*axes)
+
+    def rows(self, points: Sequence[tuple]) -> Sequence[tuple]:
+        """The input list itself: a lattice point is already its row."""
+        return points
+
+
+# ---------------------------------------------------------------------------
+# functional entry points
+# ---------------------------------------------------------------------------
+
 def space_distance(spec: SpaceSpec, p, q) -> int:
     """The metric of `spec` evaluated at two of its points."""
-    if spec.kind in ("tower", "tower-with-factor"):
-        return tower_distance(p, q)
-    if spec.kind == "shift-union":
-        return shift_distance(p, q)
-    if spec.kind == "product-of-towers":
-        return max(tower_distance(p[0], q[0]), tower_distance(p[1], q[1]))
-    return lattice_max_distance(p, q)
+    return spec.distance(p, q)
 
-
-# ---------------------------------------------------------------------------
-# window enumeration
-# ---------------------------------------------------------------------------
 
 def enumerate_window(spec: SpaceSpec, w: Window) -> list:
     """Deterministic, duplicate-free list of the points of `spec` inside `w`,
     in lexicographic order by (level, coords, extra)."""
-    return list(iter_window(spec, w))
+    return list(spec.iter(w))
 
 
 def iter_window(spec: SpaceSpec, w: Window) -> Iterator:
-    if spec.kind in ("tower", "tower-with-factor"):
-        yield from _iter_tower(spec, w)
-    elif spec.kind == "shift-union":
-        yield from _iter_shift(spec, w)
-    elif spec.kind == "product-of-towers":
-        factor = SpaceSpec.tower(spec.step_name)
-        pts = list(_iter_tower(factor, w))
-        for a in pts:
-            for b in pts:
-                yield (a, b)
-    else:
-        yield from _iter_lattice(spec, w)
-
-
-def _iter_tower(spec: SpaceSpec, w: Window) -> Iterator[TowerPoint]:
-    if w.levels is None:
-        raise WindowError("tower window needs a level range")
-    lo, hi = w.levels
-    if lo < 1:
-        raise WindowError("tower levels start at 1")
-    k = spec.factor_dim
-    for level in range(lo, hi + 1):
-        s = spec.step(level)
-        axes = []
-        for j in range(level):
-            a, b = w.axis_box(j)
-            axes.append(multiples_in(a, b, s))
-        for j in range(k):
-            a, b = w.axis_box(hi + j)
-            axes.append(list(range(a, b + 1)))
-        for combo in itertools.product(*axes):
-            yield TowerPoint(level=level, coords=combo[:level],
-                             extra=combo[level:])
-
-
-def _iter_shift(spec: SpaceSpec, w: Window) -> Iterator[ShiftPoint]:
-    if w.levels is None or w.max_support is None:
-        raise WindowError("shift window needs levels and max_support")
-    lo, hi = w.levels
-    for level in range(lo, hi + 1):
-        positions = list(range(level, w.max_support + 1))
-        axes = []
-        for i in positions:
-            a, b = w.axis_box(i)
-            axes.append(multiples_in(a, b, i - level + 1))
-        for combo in itertools.product(*axes):
-            support = tuple((i, v) for i, v in zip(positions, combo) if v != 0)
-            yield ShiftPoint(level=level, support=support)
-
-
-def _iter_lattice(spec: SpaceSpec, w: Window) -> Iterator[tuple[int, ...]]:
-    axes = []
-    for j, s in enumerate(spec.axis_steps):
-        a, b = w.axis_box(j)
-        axes.append(multiples_in(a, b, s))
-    yield from itertools.product(*axes)
+    return spec.iter(w)
 
 
 def window_size(spec: SpaceSpec, w: Window) -> int:
     """Number of points `enumerate_window` would produce, without enumerating."""
-    if spec.kind in ("tower", "tower-with-factor"):
-        if w.levels is None:
-            raise WindowError("tower window needs a level range")
-        lo, hi = w.levels
-        total = 0
-        for level in range(lo, hi + 1):
-            s = spec.step(level)
-            n = 1
-            for j in range(level):
-                a, b = w.axis_box(j)
-                n *= len(multiples_in(a, b, s))
-            for j in range(spec.factor_dim):
-                a, b = w.axis_box(hi + j)
-                n *= b - a + 1
-            total += n
-        return total
-    if spec.kind == "shift-union":
-        if w.levels is None or w.max_support is None:
-            raise WindowError("shift window needs levels and max_support")
-        lo, hi = w.levels
-        total = 0
-        for level in range(lo, hi + 1):
-            n = 1
-            for i in range(level, w.max_support + 1):
-                a, b = w.axis_box(i)
-                n *= len(multiples_in(a, b, i - level + 1))
-            total += n
-        return total
-    if spec.kind == "product-of-towers":
-        return window_size(SpaceSpec.tower(spec.step_name), w) ** 2
-    n = 1
-    for j, s in enumerate(spec.axis_steps):
-        a, b = w.axis_box(j)
-        n *= len(multiples_in(a, b, s))
-    return n
+    return spec.size(w)
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +632,7 @@ def _phi_tower(p: TowerPoint, n: int) -> tuple[int, ...]:
         raise SpaceError(
             f"phi-tower with n={n} is undefined at level {p.level} > n"
         )
-    return pad_point(p, n) + (p.level * (p.level - 1) // 2,)
+    return pad_point(p, n) + (level_height(p.level),)
 
 
 def _psi_staircase(p: TowerPoint, n: int, r: int) -> tuple[int, ...]:
@@ -581,7 +645,7 @@ def _psi_staircase(p: TowerPoint, n: int, r: int) -> tuple[int, ...]:
         raise SpaceError(
             f"psi-staircase with n={n}, r={r} is undefined at level {p.level}"
         )
-    return pad_point(p, r) + (p.level * (p.level - 1) // 2,)
+    return pad_point(p, r) + (level_height(p.level),)
 
 
 def _theta_interleave(p) -> tuple[int, ...]:

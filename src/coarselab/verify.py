@@ -15,12 +15,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .covers import CoverScheme, FiniteFamily
-from .spaces import (
+from .spaces import (  # noqa: F401  (space_distance is kept bound)
     ControlFn,
     IDENTITY,
+    LatticeSpace,
     MapSpec,
     ShiftPoint,
     SpaceError,
@@ -29,14 +30,17 @@ from .spaces import (
     Window,
     evaluate_map,
     iter_window,
+    l1_distance,
     lattice_max_distance,
-    level_penalty,
     multiples_in,
-    pad_point,
-    shift_distance,
+    sorted_min_gap,
     space_distance,
     window_size,
 )
+
+# bench/tracing.py replaces `iter_window`, `lattice_max_distance` and
+# `space_distance` in this module to time those layers, so all three stay
+# bound here and are looked up at call time.
 
 
 class VerifyError(RuntimeError):
@@ -122,21 +126,22 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# per-space measurement adapters
+# pointwise measurement
 # ---------------------------------------------------------------------------
 #
-# A summary is whatever a cell needs for exact diameters and for cheap lower
-# bounds on cross-cell distance; exact distances always go through the real
-# metric.  Under the max metric the diameter of ANY point set equals its
-# widest bounding-box extent, which the lattice, tower and product summaries
-# exploit; the l1 shift metric has no such shortcut and measures pairwise.
+# Cells are measured on the space's rows (`SpaceSpec.rows`), computed once
+# for the whole window so that every row has one shape.  A cell's summary is
+# its bounding box of rows.  Under the max metric (lattice, tower and product
+# rows) the diameter of ANY row set equals its widest box extent and the
+# largest per-axis gap between two boxes bounds their distance from below;
+# under the l1 metric (shift-union rows) the gaps sum instead and diameters
+# are measured pairwise.
 #
-# `sort_key(summary)` projects a summary to one interval (lo, hi) on a line
-# such that the gap between two cells' intervals never exceeds their
-# distance.  The separation sweep in _min_separation_points orders cells by
-# `lo` and uses that gap to stop scanning, so only nearby cells are bounded
-# with `lower_bound`, and only those the bound cannot rule out are measured
-# exactly.
+# The box's axis 0 is the sort axis of the separation sweep: its gap between
+# two cells never exceeds their distance under either metric.  For tower and
+# product rows it is the first padded coordinate, for shift-union rows the
+# level.  Only nearby cells are bounded with the box gap, and only those the
+# bound cannot rule out are measured exactly.
 
 
 def _gap(a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -147,192 +152,63 @@ def _gap(a: tuple[int, int], b: tuple[int, int]) -> int:
     return 0
 
 
-class _LatticeAdapter:
-    def __init__(self, spec: SpaceSpec):
-        self.spec = spec
-
-    def distance(self, p, q) -> int:
-        return lattice_max_distance(p, q)
-
-    def summary(self, points: list) -> list[tuple[int, int]]:
-        return [(min(vals), max(vals)) for vals in zip(*points)]
-
-    def diameter(self, points: list, summary) -> int:
-        return max((hi - lo for lo, hi in summary), default=0)
-
-    def lower_bound(self, a, b) -> int:
-        best = 0
-        for (lo_a, hi_a), (lo_b, hi_b) in zip(a, b):
-            if lo_a - hi_b > best:
-                best = lo_a - hi_b
-            elif lo_b - hi_a > best:
-                best = lo_b - hi_a
-        return best
-
-    def sort_key(self, summary) -> tuple[int, int]:
-        return summary[0]
+def _box(rows: list) -> list[tuple[int, int]]:
+    return [(min(vals), max(vals)) for vals in zip(*rows)]
 
 
-class _TowerAdapter:
-    """Pads every point to a common level so coordinate boxes line up; the
-    level penalty is handled separately (distance and diameter both decompose
-    as a max against it)."""
-
-    def __init__(self, spec: SpaceSpec, pad_to: int):
-        self.spec = spec
-        self.pad_to = pad_to
-
-    def distance(self, p, q) -> int:
-        return space_distance(self.spec, p, q)
-
-    def summary(self, points: list):
-        rows = [pad_point(p, self.pad_to) for p in points]
-        box = [(min(vals), max(vals)) for vals in zip(*rows)]
-        levels = (min(p.level for p in points), max(p.level for p in points))
-        return (box, levels)
-
-    def diameter(self, points: list, summary) -> int:
-        box, levels = summary
-        spread = max((hi - lo for lo, hi in box), default=0)
-        return max(spread, level_penalty(levels[0], levels[1]))
-
-    def lower_bound(self, a, b) -> int:
-        box_a, lv_a = a
-        box_b, lv_b = b
-        spread = max((_gap(x, y) for x, y in zip(box_a, box_b)), default=0)
-        if lv_a[0] > lv_b[1]:
-            pen = level_penalty(lv_b[1], lv_a[0])
-        elif lv_b[0] > lv_a[1]:
-            pen = level_penalty(lv_a[1], lv_b[0])
-        else:
-            pen = 0
-        return max(spread, pen)
-
-    def sort_key(self, summary) -> tuple[int, int]:
-        """The padded axis-0 box: every level has a first coordinate."""
-        return summary[0][0]
+def _max_lower_bound(a, b) -> int:
+    best = 0
+    for (lo_a, hi_a), (lo_b, hi_b) in zip(a, b):
+        if lo_a - hi_b > best:
+            best = lo_a - hi_b
+        elif lo_b - hi_a > best:
+            best = lo_b - hi_a
+    return best
 
 
-class _ProductAdapter:
-    def __init__(self, spec: SpaceSpec, pad_to: int):
-        self.factor = _TowerAdapter(SpaceSpec.tower(spec.step_name), pad_to)
-        self.spec = spec
-
-    def distance(self, p, q) -> int:
-        return space_distance(self.spec, p, q)
-
-    def summary(self, points: list):
-        return (self.factor.summary([p[0] for p in points]),
-                self.factor.summary([p[1] for p in points]))
-
-    def diameter(self, points: list, summary) -> int:
-        pts_a = [p[0] for p in points]
-        pts_b = [p[1] for p in points]
-        return max(self.factor.diameter(pts_a, summary[0]),
-                   self.factor.diameter(pts_b, summary[1]))
-
-    def lower_bound(self, a, b) -> int:
-        return max(self.factor.lower_bound(a[0], b[0]),
-                   self.factor.lower_bound(a[1], b[1]))
-
-    def sort_key(self, summary) -> tuple[int, int]:
-        return self.factor.sort_key(summary[0])
+def _l1_lower_bound(a, b) -> int:
+    return sum(_gap(x, y) for x, y in zip(a, b))
 
 
-class _ShiftAdapter:
-    def distance(self, p, q) -> int:
-        return shift_distance(p, q)
-
-    def summary(self, points: list):
-        values: dict[int, list[int]] = {}
-        for p in points:
-            for i, v in p.support:
-                values.setdefault(i, []).append(v)
-        axes = {}
-        for i, vs in values.items():
-            if len(vs) < len(points):
-                vs.append(0)  # some point is 0 at index i
-            axes[i] = (min(vs), max(vs))
-        levels = (min(p.level for p in points), max(p.level for p in points))
-        return (axes, levels)
-
-    def diameter(self, points: list, summary) -> int:
-        best = 0
-        for i, p in enumerate(points):
-            for q in points[i + 1:]:
-                d = self.distance(p, q)
-                if d > best:
-                    best = d
-        return best
-
-    def lower_bound(self, a, b) -> int:
-        axes_a, lv_a = a
-        axes_b, lv_b = b
-        total = _gap(lv_a, lv_b)
-        for i in axes_a.keys() | axes_b.keys():
-            total += _gap(axes_a.get(i, (0, 0)), axes_b.get(i, (0, 0)))
-        return total
-
-    def sort_key(self, summary) -> tuple[int, int]:
-        """The level interval: |level difference| is one term of the l1
-        sum."""
-        return summary[1]
+def _row_distance(l1: bool):
+    """The row metric, looked up at call time so that tracing shims which
+    replace this module's `lattice_max_distance` see the max-metric calls."""
+    return l1_distance if l1 else lattice_max_distance
 
 
-def _adapter_for(spec: SpaceSpec, points_by_cell: Iterable[list]):
-    if spec.kind == "plain-lattice":
-        return _LatticeAdapter(spec)
-    if spec.kind == "shift-union":
-        return _ShiftAdapter()
-    pad_to = 1
-    for pts in points_by_cell:
-        for p in pts:
-            q = p[0] if isinstance(p, tuple) else p
-            pad_to = max(pad_to, q.level)
-            if isinstance(p, tuple):
-                pad_to = max(pad_to, p[1].level)
-    if spec.kind == "product-of-towers":
-        return _ProductAdapter(spec, pad_to)
-    return _TowerAdapter(spec, pad_to)
+def _min_separation_points(cells: list[list], boxes: list,
+                           l1: bool) -> int | None:
+    """Exact minimum distance between distinct cells of rows, by sweep and
+    prune.
 
-
-# ---------------------------------------------------------------------------
-# pointwise measurement
-# ---------------------------------------------------------------------------
-
-def _min_separation_points(cells: list[list], summaries: list,
-                           adapter) -> int | None:
-    """Exact minimum distance between distinct cells, by sweep and prune.
-
-    Cells are visited in ascending order of their sort key's `lo`.  For a
-    cell with key (lo_a, hi_a) and any later cell with key (lo_b, hi_b),
-    lo_b >= lo_a, so the key gap is max(0, lo_b - hi_a); it bounds their
-    distance from below and never decreases along the order.  Once
-    lo_b - hi_a reaches the best distance so far, no later cell can come
+    Cells are visited in ascending order of their box's axis-0 `lo`.  For a
+    cell with axis-0 interval (lo_a, hi_a) and any later cell with (lo_b,
+    hi_b), lo_b >= lo_a, so the interval gap is max(0, lo_b - hi_a); it
+    bounds their distance from below and never decreases along the order.
+    Once lo_b - hi_a reaches the best distance so far, no later cell can come
     closer to this one and its scan stops.  Inside the scan, a pair whose
-    summary lower bound already reaches the best is skipped, and every other
+    box lower bound already reaches the best is skipped, and every other
     pair is measured exactly through the metric.  `best` only falls, so
     every pair left unmeasured is at least the final `best` apart and the
     result is the exact minimum; a distance of 0 ends the sweep at once.
     """
     if len(cells) < 2:
         return None
-    keys = [adapter.sort_key(s) for s in summaries]
-    order = sorted(range(len(cells)), key=lambda i: keys[i][0])
-    los = [keys[i][0] for i in order]
-    his = [keys[i][1] for i in order]
-    sums = [summaries[i] for i in order]
+    order = sorted(range(len(cells)), key=lambda i: boxes[i][0][0])
+    los = [boxes[i][0][0] for i in order]
+    his = [boxes[i][0][1] for i in order]
+    sorted_boxes = [boxes[i] for i in order]
     pts = [cells[i] for i in order]
-    lower_bound = adapter.lower_bound
-    distance = adapter.distance
+    lower_bound = _l1_lower_bound if l1 else _max_lower_bound
+    distance = _row_distance(l1)
     best = float("inf")
     for a in range(len(order)):
         hi_a = his[a]
-        sum_a = sums[a]
+        box_a = sorted_boxes[a]
         for b in range(a + 1, len(order)):
             if los[b] - hi_a >= best:
                 break
-            if lower_bound(sum_a, sums[b]) >= best:
+            if lower_bound(box_a, sorted_boxes[b]) >= best:
                 continue
             d = min(distance(p, q) for p in pts[a] for q in pts[b])
             if d < best:
@@ -342,15 +218,22 @@ def _min_separation_points(cells: list[list], summaries: list,
     return best
 
 
-def _measure_color_points(cells: dict, adapter):
-    """Return (cells_seen, max_diameter, min_separation) for one color."""
+def _diameter(rows: list, box, l1: bool) -> int:
+    if not l1:
+        return max((hi - lo for lo, hi in box), default=0)
+    return max((l1_distance(p, q) for i, p in enumerate(rows)
+                for q in rows[i + 1:]), default=0)
+
+
+def _measure_color_points(cells: dict, l1: bool):
+    """Return (cells_seen, max_diameter, min_separation) for one color whose
+    cells are {key: [row, ...]}."""
     if not cells:
         return 0, None, None
-    point_lists = list(cells.values())
-    summaries = [adapter.summary(pts) for pts in point_lists]
-    diam = max(adapter.diameter(pts, summary)
-               for pts, summary in zip(point_lists, summaries))
-    sep = _min_separation_points(point_lists, summaries, adapter)
+    row_lists = list(cells.values())
+    boxes = [_box(rows) for rows in row_lists]
+    diam = max(_diameter(rows, box, l1) for rows, box in zip(row_lists, boxes))
+    sep = _min_separation_points(row_lists, boxes, l1)
     return len(cells), diam, sep
 
 
@@ -397,7 +280,7 @@ class _FiberSet:
         their maximum is exact; it is 0 exactly when every axis shares a
         value, that is when the sets share a fiber."""
         if self.is_product and other.is_product:
-            return max((_sorted_min_gap(a, b)
+            return max((sorted_min_gap(a, b)
                         for a, b in zip(self.axes, other.axes)), default=0)
         if not self.fiber_set.isdisjoint(other.fiber_set):
             return 0
@@ -429,22 +312,6 @@ class _FiberSet:
     def bbox_gap(self, other: "_FiberSet") -> int:
         return max((_gap(a, b) for a, b in zip(self.bbox, other.bbox)),
                    default=0)
-
-
-def _sorted_min_gap(xs: list[int], ys: list[int]) -> int:
-    best = None
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        d = abs(xs[i] - ys[j])
-        if best is None or d < best:
-            best = d
-        if best == 0:
-            return 0
-        if xs[i] < ys[j]:
-            i += 1
-        else:
-            j += 1
-    return best if best is not None else 0
 
 
 def _measure_color_runs(cells: dict):
@@ -500,7 +367,7 @@ def verify_cover(s: CoverScheme, spec: SpaceSpec, w: Window, *,
     """
     if mode not in ("auto", "pointwise", "runs"):
         raise VerifyError(f"unknown mode {mode!r}")
-    runs_shaped = (spec.kind == "plain-lattice"
+    runs_shaped = (isinstance(spec, LatticeSpace)
                    and s.fiber_runs is not None
                    and s.moving_axis is not None
                    and s.moving_axis < len(spec.axis_steps))
@@ -574,7 +441,7 @@ def _verify_pointwise(s, spec, w, max_listed) -> VerificationReport:
     cells: dict[int, dict] = {}
     uncovered: list = []
     errors: list[str] = []
-    for p in points:
+    for p, row in zip(points, spec.rows(points)):
         try:
             res = s.classify(p)
         except SpaceError as exc:
@@ -587,13 +454,10 @@ def _verify_pointwise(s, spec, w, max_listed) -> VerificationReport:
         if not (0 <= color < s.colors):
             errors.append(f"{p!r}: color {color} out of range")
             continue
-        cells.setdefault(color, {}).setdefault(key, []).append(p)
-
-    adapter = _adapter_for(
-        spec, (pts for per in cells.values() for pts in per.values()))
+        cells.setdefault(color, {}).setdefault(key, []).append(row)
 
     def measure(per_key: dict):
-        return _measure_color_points(per_key, adapter)
+        return _measure_color_points(per_key, spec.l1)
 
     return _finish_report(s, w, cells, measure, uncovered, len(uncovered),
                           errors, len(errors), len(points), "pointwise",
@@ -782,6 +646,14 @@ class ControlReport:
         }
 
 
+def _measured(dist, points: Sequence):
+    """(values, metric) that measure `points` under `dist`: a SpaceSpec's
+    rows and row metric, or the points themselves under a callable."""
+    if isinstance(dist, SpaceSpec):
+        return dist.rows(points), _row_distance(dist.l1)
+    return points, dist
+
+
 def check_coarse_control(f, domain_dist, codomain_dist,
                          w: Window | None = None, *,
                          points: Sequence | None = None,
@@ -792,9 +664,9 @@ def check_coarse_control(f, domain_dist, codomain_dist,
     pairs; reports violating pairs and the largest observed additive stretch
     d(f(x), f(y)) - d(x, y).
 
-    `domain_dist` and `codomain_dist` are SpaceSpecs (their metric is used)
-    or distance callables; windows can only be enumerated from a SpaceSpec
-    domain, otherwise pass `points` explicitly.
+    `domain_dist` and `codomain_dist` are SpaceSpecs (each measures its
+    side on rows computed once) or distance callables; windows can only be
+    enumerated from a SpaceSpec domain, otherwise pass `points` explicitly.
     """
     if isinstance(f, MapSpec):
         fn = lambda p: evaluate_map(f, p)  # noqa: E731
@@ -804,31 +676,22 @@ def check_coarse_control(f, domain_dist, codomain_dist,
         fn = f
         lower = IDENTITY if lower is None else lower
         upper = IDENTITY if upper is None else upper
-    if isinstance(domain_dist, SpaceSpec):
-        dom_spec = domain_dist
-        d_dom = lambda a, b: space_distance(dom_spec, a, b)  # noqa: E731
-    else:
-        dom_spec = None
-        d_dom = domain_dist
-    if isinstance(codomain_dist, SpaceSpec):
-        cod_spec = codomain_dist
-        d_cod = lambda a, b: space_distance(cod_spec, a, b)  # noqa: E731
-    else:
-        d_cod = codomain_dist
     if points is None:
-        if w is None or dom_spec is None:
+        if w is None or not isinstance(domain_dist, SpaceSpec):
             raise VerifyError("need a window over a SpaceSpec domain or an "
                               "explicit point list")
-        points = list(iter_window(dom_spec, w))
+        points = list(iter_window(domain_dist, w))
     images = [fn(p) for p in points]
+    xs, d_dom = _measured(domain_dist, points)
+    ys, d_cod = _measured(codomain_dist, images)
     violations = []
     stretch: int | None = None
     pairs = 0
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             pairs += 1
-            dx = d_dom(points[i], points[j])
-            dy = d_cod(images[i], images[j])
+            dx = d_dom(xs[i], xs[j])
+            dy = d_cod(ys[i], ys[j])
             s = dy - dx
             if stretch is None or s > stretch:
                 stretch = s

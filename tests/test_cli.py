@@ -1,8 +1,12 @@
 """End-to-end CLI runs: config parsing, reports, exit codes, CSV export."""
 
 import json
+from pathlib import Path
 
-from coarselab.cli import main
+import pytest
+
+import coarselab
+from coarselab.cli import SPACE_BUILDERS, ConfigError, main, parse_space
 
 
 def run_cli(tmp_path, command, config, extra=()):
@@ -251,3 +255,25 @@ def test_satunion_with_tower_point_literals(tmp_path):
     assert report["report"]["output_points"] == 3
     sizes = sorted(len(entry["points"]) for entry in report["report"]["cells"])
     assert sizes == [1, 2]
+
+
+def test_version_has_one_source(tmp_path):
+    tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
+    pyproject = tomllib.loads(
+        (Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert "version" in pyproject["project"]["dynamic"]
+    assert (pyproject["tool"]["setuptools"]["dynamic"]["version"]
+            == {"attr": "coarselab.__version__"})
+    _, report = run_cli(tmp_path, "ord", {"family": [[0, 1], [2]]})
+    assert report["version"] == coarselab.__version__
+
+
+@pytest.mark.parametrize("kind", sorted(SPACE_BUILDERS))
+def test_parse_space_builds_each_kind(kind):
+    assert parse_space({"kind": kind, "axis_steps": [1, 2]}).kind == kind
+
+
+def test_parse_space_rejects_an_unknown_kind():
+    with pytest.raises(ConfigError, match="unknown space kind 'torus'"):
+        parse_space({"kind": "torus"})

@@ -1,6 +1,6 @@
-"""The sweep-and-prune cross-cell separation against an unpruned all-pairs
-minimum, on random cell layouts in every pointwise space kind, and the run
-path's fiber-set gap against the same brute force."""
+"""The sweep-and-prune cross-cell separation and the cell diameters against
+unpruned all-pairs loops, on random cell layouts in every pointwise space
+kind, and the run path's fiber-set gap against the same brute force."""
 
 import itertools
 
@@ -15,18 +15,23 @@ from coarselab.spaces import (
     lattice_max_distance,
     space_distance,
 )
-from coarselab.verify import _adapter_for, _FiberSet, _min_separation_points
+from coarselab.verify import _FiberSet, _measure_color_points
 
 COORD = st.integers(-6, 6)
 
 
 def assert_sweep_matches_brute(spec, cells):
-    adapter = _adapter_for(spec, cells)
-    summaries = [adapter.summary(pts) for pts in cells]
-    brute = min(space_distance(spec, p, q)
-                for a, b in itertools.combinations(cells, 2)
-                for p in a for q in b)
-    assert _min_separation_points(cells, summaries, adapter) == brute
+    """Measure `cells` the way the pointwise path does: rows of every point
+    computed in one call, grouped back into their cells."""
+    rows = iter(spec.rows([p for pts in cells for p in pts]))
+    row_cells = {i: [next(rows) for _ in pts] for i, pts in enumerate(cells)}
+    diameter = max(space_distance(spec, p, q)
+                   for pts in cells for p in pts for q in pts)
+    separation = min(space_distance(spec, p, q)
+                     for a, b in itertools.combinations(cells, 2)
+                     for p in a for q in b)
+    assert (_measure_color_points(row_cells, spec.l1)
+            == (len(cells), diameter, separation))
 
 
 def tower_points(extra_dim):

@@ -704,3 +704,49 @@ def test_staircase_runs_ending_early_disagree_with_classify():
     scheme = _mutant(good, fiber_runs=fiber_runs)
     with pytest.raises(VerifyError, match="disagrees with classify"):
         verify_cover(scheme, STAIR_SPEC, STAIR_WINDOW, mode="runs")
+
+
+# The next mutants break schemes on the tower, product and shift-union
+# spaces, whose cells are measured on padded tower rows, joined factor rows
+# and l1 shift rows.  Each reference window measures the mutated separation
+# exactly at its declaration (the tight bounds found on small windows are
+# 1, which a scheme may not lower); most colors of the product and
+# shift-union schemes stay empty on windows this small, so their reference
+# verdict is "pass-with-empty-color".
+
+TOWER_WINDOW = Window.make(levels=(3, 4), box=(-8, 8))
+PRODUCT_WINDOW = Window.make(levels=(1, 2), box=(-2, 2))
+SHIFT_WINDOW = Window.make(levels=(0, 1), max_support=8, box=(0, 0),
+                           axis_boxes={0: (-5, 1), 6: (-8, 1)})
+
+
+def _separation_raised_by_one_fails(scheme, spec, w, color, separation):
+    rep = verify_cover(scheme, spec, w)
+    assert rep.passed
+    assert (rep.record(color).min_cross_cell_separation == separation
+            == scheme.declared_separation[color])
+    mutant = _mutant(scheme, separation={color: separation + 1})
+    mutant_rep = verify_cover(mutant, spec, w)
+    assert mutant_rep.verdict == "fail"
+    assert not mutant_rep.record(color).separation_pass
+    return rep
+
+
+def test_singleton_separation_raised_by_one_fails():
+    # levels 3 and 4 of the doubling tower: the closest cells are the two
+    # origins, 3 apart by the level penalty alone
+    spec = SpaceSpec.tower("pow2")
+    rep = _separation_raised_by_one_fails(singleton_cover(spec, 2), spec,
+                                          TOWER_WINDOW, 0, 3)
+    assert rep.verdict == "pass" and rep.points_seen == 28
+
+
+def test_product_square_separation_raised_by_one_fails():
+    _separation_raised_by_one_fails(
+        product_square_cover(1, 2), SpaceSpec.product_of_towers("pow2"),
+        PRODUCT_WINDOW, 0, 1)
+
+
+def test_shift_union_separation_raised_by_one_fails():
+    _separation_raised_by_one_fails(
+        shift_union_cover(2, 2), SpaceSpec.shift_union(), SHIFT_WINDOW, 0, 2)
