@@ -378,21 +378,22 @@ def criterion_ordinal(seed: int = DEFAULT_SEED) -> CriterionResult:
     def run():
         rng = random.Random(seed + 1)
         failures = 0
+        memo: dict = {}
         for trial in range(10000):
             members = []
             for _ in range(rng.randint(0, 6)):
                 size = rng.randint(1, 4)
                 members.append(rng.sample(range(6), size))
             M = ordinal.FinFamily.of(members)
-            rank = ordinal.ord_rank(M)
+            rank = ordinal.ord_rank(M, memo)
             expected = max((len(m) for m in M.members), default=0)
             good = rank == expected
             sub = ordinal.FinFamily.of(
                 m for m in M.members if rng.random() < 0.5)
-            good = good and ordinal.ord_rank(sub) <= rank
+            good = good and ordinal.ord_rank(sub, memo) <= rank
             for a in M.support():
                 derived = ordinal.derived_family(M, {a})
-                good = good and ordinal.ord_rank(derived) < rank
+                good = good and ordinal.ord_rank(derived, memo) < rank
             if not good:
                 failures += 1
         return failures == 0, {"instances": 10000, "failures": failures}

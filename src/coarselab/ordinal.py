@@ -11,7 +11,7 @@ tests cross-check by brute force.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterable
 
 
@@ -25,8 +25,9 @@ class FinFamily:
         for m in self.members:
             if not m:
                 raise ValueError("family members must be nonempty")
-            if any(x < 0 for x in m):
-                raise ValueError("family members must contain naturals")
+            for x in m:
+                if not isinstance(x, int) or isinstance(x, bool) or x < 0:
+                    raise ValueError("family members must contain naturals")
 
     @classmethod
     def of(cls, sets: Iterable[Iterable[int]]) -> "FinFamily":
@@ -68,31 +69,39 @@ def derived_family(M: FinFamily, sigma: Iterable[int]) -> FinFamily:
     return FinFamily(frozenset(out))
 
 
-def ord_rank(M: FinFamily) -> int:
+def ord_rank(M: FinFamily,
+             memo: dict[frozenset[int], int] | None = None) -> int:
     """Recursive rank: 0 for the empty family, else 1 + the best rank after
-    stripping one support element.  Equals the maximum member size."""
-    memo: dict[frozenset[frozenset[int]], int] = {}
+    stripping one support element.  Equals the maximum member size.
 
-    def rank(members: frozenset[frozenset[int]]) -> int:
+    The recursion runs on bitmasks: the sorted support is relabelled to bits
+    0..k-1, each member becomes an int mask and each family a frozenset of
+    masks.  `memo` maps mask families to their ranks.  A rank depends only on
+    the family up to relabelling of its support, so a caller may share one
+    dict across calls and every cached rank stays exact."""
+    if memo is None:
+        memo = {}
+
+    def rank(members: frozenset[int]) -> int:
         if not members:
             return 0
         cached = memo.get(members)
         if cached is not None:
             return cached
-        support = frozenset(chain.from_iterable(members))
+        support = 0
+        for m in members:
+            support |= m
         best = 0
-        for a in support:
-            derived = set()
-            for m in members:
-                if a in m:
-                    tau = m - {a}
-                    if tau:
-                        derived.add(tau)
-            best = max(best, rank(frozenset(derived)))
+        while support:
+            bit = support & -support
+            support ^= bit
+            best = max(best, rank(frozenset(
+                m ^ bit for m in members if m & bit and m != bit)))
         memo[members] = best + 1
         return best + 1
 
-    return rank(M.members)
+    bits = {x: 1 << i for i, x in enumerate(sorted(M.support()))}
+    return rank(frozenset(sum(bits[x] for x in m) for m in M.members))
 
 
 def is_inclusive(M: FinFamily) -> bool:

@@ -484,12 +484,20 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
     uncovered: list = []
     uncovered_total = 0
     errors: list[str] = []
+    error_total = 0
     points_seen = 0
 
     classify = s.classify
     for fiber in itertools.product(*value_lists):
         head, tail = fiber[:mov], fiber[mov:]
-        runs = s.fiber_runs(fiber, t_lo, t_hi)
+        try:
+            runs = s.fiber_runs(fiber, t_lo, t_hi)
+        except SpaceError as exc:
+            # every point of the fiber is an error, as on the pointwise path
+            errors.append(f"{fiber!r}: {exc}")
+            points_seen += t_hi - t_lo + 1
+            error_total += t_hi - t_lo + 1
+            continue
         expected = t_lo
         for t0, t1, color, key in runs:
             if t0 != expected or t1 < t0 or t1 > t_hi:
@@ -537,7 +545,7 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
         return _measure_color_runs(per_key)
 
     return _finish_report(s, w, cells, measure, uncovered, uncovered_total,
-                          errors, len(errors), points_seen, "runs",
+                          errors, error_total, points_seen, "runs",
                           max_listed)
 
 

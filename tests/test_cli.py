@@ -115,6 +115,16 @@ def test_ord_rank_command(tmp_path):
     assert report["report"]["inclusive"] is False
 
 
+@pytest.mark.parametrize("family, rank", [
+    ([[0, 1000000000]], 2),     # two bits after relabelling, not 10^9
+    ([list(range(14))], 14),    # 2^14 subfamilies on one member
+])
+def test_ord_rank_on_far_apart_and_large_members(tmp_path, family, rank):
+    status, report = run_cli(tmp_path, "ord", {"family": family})
+    assert status == 0
+    assert report["report"]["rank"] == rank
+
+
 def test_satunion_command(tmp_path):
     config = {
         "V": {"cells": [{"key": ["v", 0],
@@ -176,30 +186,35 @@ def test_config_errors_exit_two(tmp_path):
 
 def test_library_errors_exit_two_with_error_report(tmp_path):
     # the 1-D search supports 1 or 2 colors (VerifyError); ord-rank members
-    # must be naturals (ValueError)
+    # must be naturals, so negatives, floats and bools are ValueErrors
     status, report = run_cli(tmp_path, "oracle1d",
                              {"n": 2, "R": 2, "colors": 3, "window": [0, 10]})
     assert status == 2
     assert report["status"] == "error"
     assert report["report"]["message"].startswith("VerifyError:")
-    status, report = run_cli(tmp_path, "ord", {"family": [[-1, 2]]})
-    assert status == 2
-    assert report["status"] == "error"
-    assert report["report"]["message"].startswith("ValueError:")
+    for family in ([[-1, 2]], [[1.5, 2]], [[True, 2]]):
+        status, report = run_cli(tmp_path, "ord", {"family": family})
+        assert status == 2
+        assert report["status"] == "error"
+        assert report["report"]["message"].startswith("ValueError:")
 
 
-def test_staircase_on_a_lattice_missing_an_axis_exits_two(tmp_path):
+def test_staircase_on_a_lattice_missing_an_axis_fails_on_the_run_path(
+        tmp_path):
     # the staircase with r=2 needs 4 axes; the 3-axis lattice leaves each
-    # run-path fiber one axis short
+    # run-path fiber one axis short, so all 9 fibers of 10,001 points are
+    # errors, as each point is on the pointwise twin below
     status, report = run_cli(tmp_path, "verify", {
         "construction": {"name": "staircase",
                          "params": {"n": 1, "r": 2, "height": [1, 1]}},
         "space": {"kind": "plain-lattice", "axis_steps": [2, 2, 1]},
         "window": {"axis_boxes": {"0": [-2, 2], "1": [-2, 2],
                                   "2": [0, 10000]}}})
-    assert status == 2
-    assert report["status"] == "error"
-    assert "fiber needs 3 axes" in report["report"]["message"]
+    assert status == 1
+    body = report["report"]
+    assert (body["verdict"], body["mode"], body["error_total"],
+            body["points_seen"]) == ("fail", "runs", 9 * 10001, 9 * 10001)
+    assert body["error_sample"][0].endswith("fiber needs 3 axes")
 
 
 def test_staircase_long_non_unit_moving_axis_exits_two(tmp_path):

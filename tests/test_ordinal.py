@@ -1,8 +1,11 @@
 """Finite set-system rank: derived families, recursion, inclusivity."""
 
 import random
+from itertools import chain
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coarselab.ordinal import (
     FinFamily,
@@ -16,8 +19,9 @@ from coarselab.ordinal import (
 def test_members_must_be_nonempty_naturals():
     with pytest.raises(ValueError):
         FinFamily.of([[]])
-    with pytest.raises(ValueError):
-        FinFamily.of([[-1]])
+    for bad in ([[-1]], [[1.5, 2]], [[True, 2]], [["0"]]):
+        with pytest.raises(ValueError):
+            FinFamily.of(bad)
 
 
 def test_derived_family_strips_sigma():
@@ -78,6 +82,55 @@ def test_strict_descent_on_support_elements():
         r = ord_rank(M)
         for a in M.support():
             assert ord_rank(derived_family(M, {a})) < r
+
+
+def _reference_rank(members: frozenset[frozenset[int]]) -> int:
+    """The frozenset recursion ord_rank replaced, with a memo per call."""
+    memo: dict[frozenset[frozenset[int]], int] = {}
+
+    def rank(members):
+        if not members:
+            return 0
+        if members in memo:
+            return memo[members]
+        best = 0
+        for a in frozenset(chain.from_iterable(members)):
+            derived = frozenset(m - {a} for m in members
+                                if a in m and m != {a})
+            best = max(best, rank(derived))
+        memo[members] = best + 1
+        return best + 1
+
+    return rank(members)
+
+
+# naturals small and large: near 10^9 and past 2^63, so a relabelling that
+# kept the raw values as bit positions would build enormous masks
+_naturals = st.one_of(st.integers(0, 12),
+                      st.integers(10**9 - 3, 10**9 + 3),
+                      st.integers(2**63 - 2, 2**70))
+_families = st.lists(st.sets(_naturals, min_size=1, max_size=5), max_size=8)
+_SHARED_MEMO: dict = {}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_families)
+def test_bitmask_rank_matches_frozenset_recursion(members):
+    M = FinFamily.of(members)
+    expected = _reference_rank(M.members)
+    assert ord_rank(M) == expected
+    assert ord_rank(M, _SHARED_MEMO) == expected
+
+
+def test_rank_memo_is_keyed_on_relabelled_masks():
+    memo: dict = {}
+    assert ord_rank(FinFamily.of([[0, 10**9]]), memo) == 2
+    # the support {0, 10^9} becomes bits 0 and 1
+    assert set(memo) == {frozenset({0b11}), frozenset({0b01}),
+                         frozenset({0b10})}
+    # a relabelled copy of the family hits the same entries
+    assert ord_rank(FinFamily.of([[7, 2**70]]), memo) == 2
+    assert len(memo) == 3
 
 
 def test_inclusive_closure_enumerates_subsets():

@@ -11,8 +11,10 @@ from coarselab.covers import (
     SHORT_COLOR,
     CoverScheme,
     _offset_bands,
+    fiber_product_cover,
     grid_cover,
     mixed_grid_cover,
+    omega_cover,
     product_square_cover,
     shift_union_cover,
     singleton_cover,
@@ -141,7 +143,6 @@ def test_engine_matches_brute_on_shift_union():
 
 
 def test_omega_cover_verifies_over_a_tower_window():
-    from coarselab.covers import omega_cover
     scheme = omega_cover(3, 5)
     spec = SpaceSpec.tower_with_factor("pow2", 1)
     rep = verify_cover(scheme, spec, Window.make(levels=(1, 5), box=(-8, 8)))
@@ -544,6 +545,23 @@ def test_run_path_matches_pointwise_on_random_staircases(case):
     assert a.per_color == b.per_color
 
 
+def test_both_paths_record_a_fiber_outside_the_lattice_as_errors():
+    # axis 0 is unit-step but the staircase scales it by 2: odd fibers raise
+    # SpaceError, per point on the pointwise path and per fiber on the runs
+    scheme = staircase_cover(1, 2, dim=2)
+    spec = SpaceSpec.lattice((1, 2, 1, 1))
+    w = Window.make(axis_boxes={0: (-2, 2), 1: (-2, 2), 2: (0, 100),
+                                3: (0, 0)})
+    a = verify_cover(scheme, spec, w, mode="pointwise")
+    b = verify_cover(scheme, spec, w, mode="runs")
+    assert (a.verdict, a.points_seen, a.uncovered_total, a.error_total) == \
+        (b.verdict, b.points_seen, b.uncovered_total, b.error_total) == \
+        ("fail", 1515, 0, 606)
+    assert a.per_color == b.per_color
+    assert len(b.error_sample) == 6  # one per odd fiber of 101 points
+    assert b.error_sample[0].endswith("not in 2Z")
+
+
 def test_run_path_needs_a_unit_step_on_the_moving_axis():
     # on 2Z the run path would count and probe every integer t, including
     # the odd ones the lattice does not hold
@@ -750,3 +768,39 @@ def test_product_square_separation_raised_by_one_fails():
 def test_shift_union_separation_raised_by_one_fails():
     _separation_raised_by_one_fails(
         shift_union_cover(2, 2), SpaceSpec.shift_union(), SHIFT_WINDOW, 0, 2)
+
+
+# Grid, fiber-product and omega mutants: each reference window measures the
+# mutated value exactly at its declaration and passes.
+
+def _bound_lowered_by_one_fails(scheme, spec, w, color, bound):
+    rep = verify_cover(scheme, spec, w)
+    assert rep.verdict == "pass"
+    assert (rep.record(color).max_diameter == bound
+            == scheme.declared_bound[color])
+    mutant_rep = verify_cover(_mutant(scheme, bound={color: bound - 1}),
+                              spec, w)
+    assert mutant_rep.verdict == "fail"
+    assert not mutant_rep.record(color).bound_pass
+
+
+def test_grid_bound_lowered_by_one_fails():
+    # width-3 boxes have diameter 2 under the max metric
+    _bound_lowered_by_one_fails(grid_cover(2, 3), SpaceSpec.lattice((1, 1)),
+                                Window.make(box=(-6, 6)), 3, 2)
+
+
+def test_fiber_product_separation_raised_by_one_fails():
+    # above threshold 1 the declared separation is min(5, 1 + 1) = 2
+    rep = _separation_raised_by_one_fails(
+        fiber_product_cover(grid_cover(1, 5), 1),
+        SpaceSpec.tower_with_factor("pow2", 1),
+        Window.make(levels=(2, 3), box=(-8, 8)), 0, 2)
+    assert rep.verdict == "pass"
+
+
+def test_omega_grid_color_bound_lowered_by_one_fails():
+    # color 4 is the first flattened grid color: bound max(r - 1, 3, 1) = 4
+    _bound_lowered_by_one_fails(omega_cover(3, 5),
+                                SpaceSpec.tower_with_factor("pow2", 1),
+                                Window.make(levels=(1, 5), box=(-8, 8)), 4, 4)
