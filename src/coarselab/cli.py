@@ -58,6 +58,14 @@ class ConfigError(ValueError):
     pass
 
 
+def _object(value, what: str) -> dict:
+    """`value` itself when it is a JSON object, else a ConfigError."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, "
+                          f"not {type(value).__name__}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # config parsing
 # ---------------------------------------------------------------------------
@@ -74,18 +82,18 @@ SPACE_BUILDERS = {
 
 
 def parse_space(cfg: dict) -> SpaceSpec:
-    build = SPACE_BUILDERS.get(cfg.get("kind"))
+    build = SPACE_BUILDERS.get(_object(cfg, "space").get("kind"))
     if build is None:
         raise ConfigError(f"unknown space kind {cfg.get('kind')!r}")
     return build(cfg)
 
 
 def parse_window(cfg: dict) -> Window:
-    box = cfg.get("box")
+    box = _object(cfg, "window").get("box")
     if box is not None and box and isinstance(box[0], list):
         box = [tuple(iv) for iv in box]
-    axis_boxes = {int(i): tuple(iv)
-                  for i, iv in (cfg.get("axis_boxes") or {}).items()}
+    axis_boxes = {int(i): tuple(iv) for i, iv in
+                  _object(cfg.get("axis_boxes") or {}, "axis_boxes").items()}
     return Window.make(
         levels=tuple(cfg["levels"]) if cfg.get("levels") else None,
         box=tuple(box) if box is not None else None,
@@ -95,8 +103,8 @@ def parse_window(cfg: dict) -> Window:
 
 
 def build_construction(cfg: dict, space: SpaceSpec | None = None):
-    name = cfg.get("name")
-    params = cfg.get("params", {})
+    name = _object(cfg, "construction").get("name")
+    params = _object(cfg.get("params", {}), "params")
     if name == "grid":
         return grid_cover(params["dim"], params["gap"])
     if name == "interval":
@@ -128,12 +136,14 @@ def build_construction(cfg: dict, space: SpaceSpec | None = None):
 def parse_control(cfg: dict | None) -> ControlFn:
     if not cfg:
         return ControlFn("identity")
+    cfg = _object(cfg, "control")
     return ControlFn(cfg.get("kind", "identity"), cfg.get("c", 0))
 
 
 def parse_map(cfg: dict) -> MapSpec:
+    cfg = _object(cfg, "map")
     return MapSpec.make(
-        cfg["name"], cfg.get("params", {}),
+        cfg["name"], _object(cfg.get("params", {}), "params"),
         lower=parse_control(cfg.get("lower")),
         upper=parse_control(cfg.get("upper")),
     )
@@ -161,14 +171,15 @@ def parse_point(value):
                           coords=tuple(value["coords"]),
                           extra=tuple(value.get("extra", ())))
     if isinstance(value, dict) and "support" in value:
+        support = _object(value["support"], "support")
         return ShiftPoint.from_support(
-            {int(i): v for i, v in value["support"].items()}, value["level"])
+            {int(i): v for i, v in support.items()}, value["level"])
     raise ConfigError(f"unreadable point literal {value!r}")
 
 
 def parse_family(cfg: dict) -> FiniteFamily:
     cells = {}
-    for entry in cfg["cells"]:
+    for entry in _object(cfg, "family")["cells"]:
         key = _as_key(entry["key"])
         cells[key] = frozenset(parse_point(p) for p in entry["points"])
     return FiniteFamily.of(cells)
@@ -210,6 +221,7 @@ def run_witness(cfg: dict, limits: dict) -> tuple[int, dict]:
     body["status"] = "pass" if status == 0 else "fail"
     control_cfg = cfg.get("control")
     if control_cfg is not None and result.all_fibers_witnessed:
+        control_cfg = _object(control_cfg, "control")
         delta = MapSpec.make(
             "delta-witness", table=result.delta_table(),
             lower=parse_control(control_cfg.get("lower")),
@@ -261,6 +273,14 @@ def run_oracle(cfg: dict, limits: dict) -> tuple[int, dict]:
 
 def run_ord(cfg: dict, limits: dict) -> tuple[int, dict]:
     family = FinFamily.of(cfg["family"])
+    # the rank recursion and the inclusive closure each visit up to every
+    # nonempty subset of every member
+    subsets = sum((1 << len(m)) - 1 for m in family.members)
+    budget = limits.get("node_budget")
+    if budget is not None and subsets > budget:
+        return 2, {"status": "inconclusive",
+                   "reason": f"family members have {subsets} nonempty "
+                             f"subsets, budget is {budget}"}
     body = {
         "status": "ok",
         "rank": ord_rank(family),
@@ -349,25 +369,26 @@ def run_experiment(kind: str, config: dict, *, out: str | None = None,
                    budget: int | None = None,
                    seed: int | None = None) -> int:
     """Dispatch one experiment, write its report, return the exit status."""
-    limits = dict(config.get("limits", {}))
-    if budget is not None:
-        limits["node_budget"] = budget
-    if seed is not None:
-        config = {**config, "seed": seed}
-    runner = RUNNERS.get(kind)
-    envelope: dict
-    if runner is None:
+    limits: dict = {}
+    try:
+        limits = dict(_object(_object(config, "config").get("limits", {}),
+                              "limits"))
+        if budget is not None:
+            limits["node_budget"] = budget
+        if seed is not None:
+            config = {**config, "seed": seed}
+        runner = RUNNERS.get(kind)
+        if runner is None:
+            raise ConfigError(f"unknown experiment kind {kind!r}")
+        status, body = runner(config, limits)
+    except (ValueError, VerifyError, KeyError, TypeError) as exc:
         status, body = 2, {"status": "error",
-                           "message": f"unknown experiment kind {kind!r}"}
-    else:
-        try:
-            status, body = runner(config, limits)
-        except (ValueError, VerifyError, KeyError, TypeError) as exc:
-            status, body = 2, {"status": "error",
-                               "message": f"{type(exc).__name__}: {exc}"}
+                           "message": f"{type(exc).__name__}: {exc}"}
+    if isinstance(config, dict):
+        config = {**config, "kind": kind, "limits": limits}
     envelope = {
         "status": body.get("status", "error"),
-        "config": {**config, "kind": kind, "limits": limits},
+        "config": config,
         "report": body,
         "version": __version__,
     }

@@ -149,8 +149,10 @@ class Window:
     axis_boxes: tuple[tuple[int, Interval], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.levels is not None and self.levels[0] > self.levels[1]:
-            raise WindowError(f"empty level range {self.levels}")
+        if self.levels is not None:
+            lo, hi = self.levels
+            if lo > hi:
+                raise WindowError(f"empty level range {self.levels}")
         for lo, hi in self._all_intervals():
             if lo > hi:
                 raise WindowError(f"empty interval ({lo}, {hi})")

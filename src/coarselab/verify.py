@@ -6,15 +6,18 @@ exist: the pointwise path enumerates every window point and groups it by the
 scheme's classification, while the run path (for schemes that can describe
 their cells as maximal runs along one long axis) validates the reported runs
 against the pointwise classifier at their endpoints and midpoints and then
-measures from the run arithmetic.  On windows small enough for both, the two
-paths are required to agree, and the tests enforce that.
+measures from the run arithmetic: cells with one run layout whose fibers
+form a product of per-axis values are measured as one class, and a layout
+whose fibers are no product as one class per fiber.  On windows small
+enough for both, the two paths are required to agree, and the tests enforce
+that.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 from .covers import CoverScheme, FiniteFamily
@@ -241,108 +244,49 @@ def _measure_color_points(cells: dict, l1: bool):
 # run-path measurement
 # ---------------------------------------------------------------------------
 
-def _run_gap(runs_a, runs_b) -> int:
-    best = None
-    for a0, a1 in runs_a:
-        for b0, b1 in runs_b:
-            g = max(0, b0 - a1, a0 - b1)
-            if best is None or g < best:
-                best = g
-            if best == 0:
-                return 0
-    return best
-
-
-class _FiberSet:
-    """A set of fibers (tuples over the non-moving axes) with product-shape
-    detection for exact max-metric gaps."""
-
-    def __init__(self, fibers: list[tuple]):
-        unique = set(fibers)
-        self.had_duplicates = len(unique) < len(fibers)
-        self.fibers = sorted(unique)
-        self.axes = [sorted(set(vals)) for vals in zip(*self.fibers)]
-        count = 1
-        for vals in self.axes:
-            count *= len(vals)
-        self.is_product = count == len(self.fibers)
-        self.bbox = [(vals[0], vals[-1]) for vals in self.axes]
-
-    @cached_property
-    def fiber_set(self) -> frozenset:
-        """Built on first use: product pairs never need it."""
-        return frozenset(self.fibers)
-
-    def min_cross_gap(self, other: "_FiberSet") -> int:
-        """min over pairs (one fiber from each) of the max-metric distance.
-
-        For two product sets the per-axis minimum gaps are independent, so
-        their maximum is exact; it is 0 exactly when every axis shares a
-        value, that is when the sets share a fiber."""
-        if self.is_product and other.is_product:
-            return max((sorted_min_gap(a, b)
-                        for a, b in zip(self.axes, other.axes)), default=0)
-        if not self.fiber_set.isdisjoint(other.fiber_set):
-            return 0
-        return min(lattice_max_distance(f, g)
-                   for f in self.fibers for g in other.fibers)
-
-    def min_inner_gap(self) -> int | None:
-        """min over distinct cells of the class: two cells on one fiber are
-        at distance 0, otherwise the closest distinct-fiber pair."""
-        if self.had_duplicates:
-            return 0
-        if len(self.fibers) < 2:
-            return None
-        if self.is_product:
-            best = None
-            for vals in self.axes:
-                for a, b in zip(vals, vals[1:]):
-                    if best is None or b - a < best:
-                        best = b - a
-            return best
-        best = None
-        for i, f in enumerate(self.fibers):
-            for g in self.fibers[i + 1:]:
-                d = lattice_max_distance(f, g)
-                if best is None or d < best:
-                    best = d
-        return best
-
-    def bbox_gap(self, other: "_FiberSet") -> int:
-        return max((_gap(a, b) for a, b in zip(self.bbox, other.bbox)),
-                   default=0)
-
-
 def _measure_color_runs(cells: dict):
     """Measure one color whose cells are {key: (fiber, [(t0, t1), ...])}.
 
-    Cells sharing an identical run layout are grouped into classes; the
-    distance between two classes is max(fiber-set gap, run gap), which is
-    exact because cells are single-fiber products {fiber} x runs.
+    Every cell is {fiber} x runs.  Cells with one run layout are grouped,
+    and each group is measured as a class that is a product of per-axis
+    value lists: the group itself when its fibers fill that product, else
+    one single-fiber class per fiber.  Two cells of one fiber never share a
+    layout, because the fiber's runs tile it, so a class's cells lie on
+    distinct fibers and its closest pair is one step between consecutive
+    values on one axis.  Across two classes the per-axis gaps are
+    independent, so their distance is exactly max(run gap, largest per-axis
+    gap of the value lists).
     """
     if not cells:
         return 0, None, None
     diam = 0
-    by_sig: dict[tuple, list[tuple]] = {}
+    by_layout: dict[tuple, list[tuple]] = {}
     for fiber, runs in cells.values():
-        sig = tuple(runs)
-        t_extent = runs[-1][1] - runs[0][0]
-        diam = max(diam, t_extent)
-        by_sig.setdefault(sig, []).append(fiber)
+        diam = max(diam, runs[-1][1] - runs[0][0])
+        by_layout.setdefault(tuple(runs), []).append(fiber)
 
-    classes = [(sig, _FiberSet(fibers)) for sig, fibers in by_sig.items()]
+    classes = []  # (runs, per-axis sorted values)
+    for runs, fibers in by_layout.items():
+        axes = [sorted(set(vals)) for vals in zip(*fibers)]
+        if math.prod(map(len, axes)) == len(fibers):
+            classes.append((runs, axes))
+        else:
+            classes.extend((runs, [[v] for v in fiber]) for fiber in fibers)
+    boxes = [[(vals[0], vals[-1]) for vals in axes] for _, axes in classes]
+
     best: int | None = None
-    for idx, (sig_a, fs_a) in enumerate(classes):
-        inner = fs_a.min_inner_gap()
-        if inner is not None and (best is None or inner < best):
-            best = inner
-        for sig_b, fs_b in classes[idx + 1:]:
-            tg = _run_gap(sig_a, sig_b)
-            lb = max(fs_a.bbox_gap(fs_b), tg)
-            if best is not None and lb >= best:
+    for idx, ((runs_a, axes_a), box_a) in enumerate(zip(classes, boxes)):
+        for vals in axes_a:
+            for a, b in zip(vals, vals[1:]):
+                if best is None or b - a < best:
+                    best = b - a
+        for (runs_b, axes_b), box_b in zip(classes[idx + 1:],
+                                           boxes[idx + 1:]):
+            run_gap = min(_gap(a, b) for a in runs_a for b in runs_b)
+            if best is not None and max(
+                    run_gap, _max_lower_bound(box_a, box_b)) >= best:
                 continue
-            cand = max(fs_a.min_cross_gap(fs_b), tg)
+            cand = max([run_gap, *map(sorted_min_gap, axes_a, axes_b)])
             if best is None or cand < best:
                 best = cand
     return len(cells), diam, best

@@ -1,12 +1,22 @@
 """End-to-end CLI runs: config parsing, reports, exit codes, CSV export."""
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coarselab
-from coarselab.cli import SPACE_BUILDERS, ConfigError, main, parse_space
+from coarselab.cli import (
+    RUNNERS,
+    SPACE_BUILDERS,
+    ConfigError,
+    main,
+    parse_space,
+    run_experiment,
+)
 
 
 def run_cli(tmp_path, command, config, extra=()):
@@ -197,6 +207,134 @@ def test_library_errors_exit_two_with_error_report(tmp_path):
         assert status == 2
         assert report["status"] == "error"
         assert report["report"]["message"].startswith("ValueError:")
+
+
+GRID_VERIFY = {
+    "construction": {"name": "grid", "params": {"dim": 1, "gap": 2}},
+    "space": {"kind": "plain-lattice", "axis_steps": [1]},
+    "window": {"box": [[-6, 6]]},
+}
+
+
+@pytest.mark.parametrize("config, message", [
+    ([GRID_VERIFY], "config must be a JSON object, not list"),
+    ({**GRID_VERIFY, "space": ["plain-lattice"]},
+     "space must be a JSON object, not list"),
+    ({**GRID_VERIFY, "space": "plain-lattice"},
+     "space must be a JSON object, not str"),
+    ({**GRID_VERIFY, "construction": ["grid"]},
+     "construction must be a JSON object, not list"),
+    ({**GRID_VERIFY, "construction": "grid"},
+     "construction must be a JSON object, not str"),
+    ({**GRID_VERIFY, "limits": 5}, "limits must be a JSON object, not int"),
+])
+def test_non_object_sections_exit_two(tmp_path, config, message):
+    status, report = run_cli(tmp_path, "verify", config)
+    assert status == 2
+    assert report["status"] == "error"
+    assert report["report"]["message"] == f"ConfigError: {message}"
+
+
+def test_ord_rank_over_budget_is_inconclusive(tmp_path):
+    # one 20-element member has 2^20 - 1 nonempty subsets
+    status, report = run_cli(tmp_path, "ord", {"family": [list(range(20))]},
+                             ["--budget", "1000"])
+    assert status == 2
+    assert report["status"] == "inconclusive"
+    # [[1, 2], [3]] has 3 + 1 subsets: within a budget of 4, over one of 3
+    family = {"family": [[1, 2], [3]]}
+    assert run_cli(tmp_path, "ord", family, ["--budget", "4"])[0] == 0
+    status, report = run_cli(tmp_path, "ord",
+                             {**family, "limits": {"node_budget": 3}})
+    assert (status, report["status"]) == (2, "inconclusive")
+
+
+# ---------------------------------------------------------------------------
+# exit-contract fuzz
+# ---------------------------------------------------------------------------
+
+EXIT_OF_STATUS = {"pass": 0, "ok": 0, "feasible": 0,
+                  "fail": 1, "infeasible": 1, "recheck-failed": 1,
+                  "error": 2, "inconclusive": 2}
+
+# one small valid config per kind but the suite, whose one run takes seconds
+VALID_CONFIGS = [
+    ("verify-cover", GRID_VERIFY),
+    ("verify-cover", {
+        "construction": {"name": "staircase",
+                         "params": {"n": 1, "r": 2, "height": [1, 1]}},
+        "space": {"kind": "plain-lattice", "axis_steps": [2, 2, 1, 1]},
+        "window": {"axis_boxes": {"0": [-2, 2], "1": [-2, 2],
+                                  "2": [0, 40], "3": [1, 1]}}}),
+    ("fiber-witness", {
+        "families": [{"name": "interval", "params": {"size": 3, "sep": 2}}],
+        "fibers": [[0], [4]], "box": [-3, 3], "box_dim": 1,
+        "fiber_space": {"kind": "plain-lattice", "axis_steps": [4]},
+        "control": {"upper": {"kind": "plus-const", "c": 3}}}),
+    ("coarse-control", {
+        "map": {"name": "phi-tower", "params": {"n": 2}},
+        "domain": {"kind": "tower-with-factor", "step": "pow2",
+                   "factor_dim": 1},
+        "window": {"levels": [1, 2], "box": [-2, 2]}}),
+    ("oracle-1d", {"n": 2, "R": 2, "colors": 2, "window": [0, 12]}),
+    ("ord-rank", {"family": [[1, 2], [3]], "limits": {"node_budget": 9}}),
+    ("saturated-union", {
+        "V": {"cells": [{"key": ["v"], "points": [[0], [1]]}]},
+        "U": {"cells": [{"key": ["u"], "points": [[3]]},
+                        {"key": ["w"], "points": [[9]]}]},
+        "r": 2}),
+]
+
+# small values, so that a mutated window or parameter stays cheap to run
+LEAVES = (st.none() | st.booleans() | st.integers(-2, 3)
+          | st.sampled_from(["", "grid", "identity", "plain-lattice"]))
+JSON = st.recursive(
+    LEAVES,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.sampled_from(
+                       ["kind", "name", "params", "box", "levels", "level",
+                        "coords", "support", "cells", "key", "points",
+                        "node_budget", "0"]), inner, max_size=3)),
+    max_leaves=6)
+
+
+@st.composite
+def mutated(draw, value):
+    """`value` with one entry somewhere inside it dropped or replaced by a
+    small JSON value, or `value` replaced whole."""
+    if isinstance(value, (dict, list)) and value and draw(st.booleans()):
+        out = value.copy()
+        key = draw(st.sampled_from(sorted(out) if isinstance(out, dict)
+                                   else range(len(out))))
+        if draw(st.booleans()):
+            del out[key]
+        else:
+            out[key] = draw(mutated(value[key]))
+        return out
+    return draw(JSON)
+
+
+@st.composite
+def experiments(draw):
+    kind, config = draw(st.sampled_from(VALID_CONFIGS))
+    if draw(st.booleans()):
+        config = draw(mutated(config))
+    if draw(st.integers(0, 3)) == 0:
+        kind = draw(st.sampled_from(sorted(set(RUNNERS) - {"suite"})
+                                    + ["no-such-kind"]))
+    return kind, config, draw(st.none() | st.integers(0, 50))
+
+
+@settings(max_examples=300, deadline=None)
+@given(experiments())
+def test_exit_code_matches_report_status(experiment):
+    kind, config, budget = experiment
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        code = run_experiment(kind, config, out=str(out), budget=budget)
+        envelope = json.loads(out.read_text())
+    assert code in (0, 1, 2)
+    assert EXIT_OF_STATUS[envelope["status"]] == code
 
 
 def test_staircase_on_a_lattice_missing_an_axis_fails_on_the_run_path(

@@ -1,6 +1,6 @@
 """The sweep-and-prune cross-cell separation and the cell diameters against
 unpruned all-pairs loops, on random cell layouts in every pointwise space
-kind, and the run path's fiber-set gap against the same brute force."""
+kind, and the run path's class measurement against the same brute force."""
 
 import itertools
 
@@ -15,7 +15,7 @@ from coarselab.spaces import (
     lattice_max_distance,
     space_distance,
 )
-from coarselab.verify import _FiberSet, _measure_color_points
+from coarselab.verify import _measure_color_points, _measure_color_runs
 
 COORD = st.integers(-6, 6)
 
@@ -120,21 +120,69 @@ def test_two_cell_layouts(cells):
 
 
 @st.composite
-def fiber_lists(draw, dim):
-    """Fibers of one run class: a full product of per-axis value sets, or
-    an arbitrary list (possibly with repeats)."""
-    if draw(st.booleans()):
-        axes = [draw(st.lists(COORD, min_size=1, max_size=3, unique=True))
-                for _ in range(dim)]
-        return list(itertools.product(*axes))
-    return draw(st.lists(st.tuples(*[COORD] * dim), min_size=1, max_size=6))
+def tilings(draw):
+    """The cells one fiber holds: disjoint runs along a short moving axis,
+    adjacent or apart, handed out to up to three cells."""
+    runs, t = [], draw(st.integers(-3, 3))
+    for gap, length in draw(st.lists(st.tuples(st.integers(0, 3),
+                                               st.integers(1, 3)),
+                                     max_size=4)):
+        runs.append((t + gap, t + gap + length - 1))
+        t += gap + length
+    labels = draw(st.lists(st.integers(0, draw(st.integers(0, 2))),
+                           min_size=len(runs), max_size=len(runs)))
+    return [[r for r, c in zip(runs, labels) if c == label]
+            for label in sorted(set(labels))]
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data())
-def test_fiber_set_cross_gap_matches_all_pairs(data):
-    dim = data.draw(st.integers(0, 3))
-    a = data.draw(fiber_lists(dim))
-    b = data.draw(fiber_lists(dim))
-    brute = min(lattice_max_distance(f, g) for f in a for g in b)
-    assert _FiberSet(a).min_cross_gap(_FiberSet(b)) == brute
+@st.composite
+def run_cells(draw):
+    """One color's run-path cells {key: (fiber, runs)} over a grid of
+    fibers.  Each fiber takes one of a few tilings, so cells that share a
+    fiber never overlap, as on the run path.  All fibers taking one tiling,
+    or a tiling picked by the axis-0 value, makes every run layout a product
+    of fibers; a tiling (or none) picked per fiber mostly makes
+    non-products."""
+    dim = draw(st.integers(0, 3))
+    fibers = list(itertools.product(*[
+        draw(st.lists(COORD, min_size=1, max_size=3, unique=True))
+        for _ in range(dim)]))
+    options = draw(st.lists(tilings(), min_size=1, max_size=3))
+    pick = draw(st.sampled_from(["one", "axis 0", "per fiber"]))
+    cells = {}
+    for fiber in fibers:
+        if pick == "one":
+            i = 0
+        elif pick == "axis 0":
+            i = (fiber[0] if fiber else 0) % len(options)
+        else:
+            i = draw(st.integers(0, len(options)))
+            if i == len(options):
+                continue
+        for label, runs in enumerate(options[i]):
+            cells[(fiber, label)] = (fiber, runs)
+    return cells
+
+
+def cell_distance(a, b):
+    """Max-metric distance of two cells {fiber} x runs."""
+    (fiber_a, runs_a), (fiber_b, runs_b) = a, b
+    t_gap = min(max(0, s0 - t1, t0 - s1)
+                for t0, t1 in runs_a for s0, s1 in runs_b)
+    return max(lattice_max_distance(fiber_a, fiber_b), t_gap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=run_cells())
+# one layout on fibers (0, 0) and (1, 3): 3 apart, though its per-axis
+# values step by 1
+@example(cells={0: ((0, 0), [(0, 2)]), 1: ((1, 3), [(0, 2)])})
+def test_run_classes_match_all_pairs(cells):
+    values = list(cells.values())
+    expected = (
+        len(values),
+        max((runs[-1][1] - runs[0][0] for _, runs in values), default=None),
+        min((cell_distance(a, b)
+             for a, b in itertools.combinations(values, 2)), default=None),
+    )
+    assert _measure_color_runs(cells) == expected

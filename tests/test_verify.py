@@ -481,31 +481,26 @@ def test_oracle_rejects_unsupported_color_counts():
         oracle_1d_nocover(3, 5, 3, (-2, 2))
 
 
-def test_engine_matches_brute_on_random_block_schemes():
-    # random deterministic block colorings over 2-D windows: the pruned
-    # engine must agree with unpruned all-pairs measurement everywhere
-    import random as _random
-    rng = _random.Random(2024)
-    spec = SpaceSpec.lattice((1, 1))
-    for trial in range(12):
-        width = rng.randint(2, 6)
-        colors = rng.randint(1, 4)
-        salt = rng.randint(0, 10 ** 6)
+@settings(max_examples=40, deadline=None)
+@given(width=st.integers(2, 6), colors=st.integers(1, 4),
+       salt=st.integers(0, 10 ** 6), half=st.integers(6, 14))
+def test_engine_matches_brute_on_random_block_schemes(width, colors, salt,
+                                                      half):
+    # deterministic block colorings over 2-D windows: the pruned engine
+    # must agree with unpruned all-pairs measurement everywhere
+    def classify(p):
+        bx, by = p[0] // width, p[1] // width
+        color = (bx * 7_919 + by * 104_729 + salt) % colors
+        return (color, (bx, by))
 
-        def classify(p, width=width, colors=colors, salt=salt):
-            bx, by = p[0] // width, p[1] // width
-            color = (bx * 7_919 + by * 104_729 + salt) % colors
-            return (color, (bx, by))
-
-        scheme = CoverScheme(
-            classify=classify, colors=colors,
-            declared_separation={c: 1 for c in range(colors)},
-            declared_bound={c: 2 * width for c in range(colors)},
-            domain_note="random block coloring",
-        )
-        half = rng.randint(6, 14)
-        w = Window.make(box=(-half, half))
-        assert_engine_matches_brute(scheme, spec, w)
+    scheme = CoverScheme(
+        classify=classify, colors=colors,
+        declared_separation={c: 1 for c in range(colors)},
+        declared_bound={c: 2 * width for c in range(colors)},
+        domain_note="random block coloring",
+    )
+    assert_engine_matches_brute(scheme, SpaceSpec.lattice((1, 1)),
+                                Window.make(box=(-half, half)))
 
 
 @st.composite
