@@ -14,6 +14,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from .spaces import (
     Window,
     lattice_max_distance,
     space_distance,
+    window_size,
 )
 from .verify import (
     BudgetExceeded,
@@ -244,6 +246,14 @@ def run_control(cfg: dict, limits: dict) -> tuple[int, dict]:
     codomain = (parse_space(cfg["codomain"]) if "codomain" in cfg
                 else lattice_max_distance)
     window = parse_window(cfg["window"])
+    budget = limits.get("node_budget")
+    if budget is not None:
+        # every pair of window points is checked
+        pairs = math.comb(window_size(domain, window), 2)
+        if pairs > budget:
+            return 2, {"status": "inconclusive",
+                       "reason": f"window holds {pairs} point pairs, "
+                                 f"budget is {budget}"}
     report = check_coarse_control(m, domain, codomain, window)
     status = 0 if report.passed else 1
     body = report.to_json()

@@ -326,6 +326,7 @@ def staircase_cover(n: int, r: int, dim: int | None = None,
     weights = [2 ** (r * j) for j in range(dim)]
     weight_sum = sum(2 ** (r * j) for j in range(1, dim + 1))
     period = weight_sum * (r + n)
+    long_step = period - n - 1
     last_x: tuple[int, ...] | None = None
     last_base = 0
 
@@ -361,7 +362,7 @@ def staircase_cover(n: int, r: int, dim: int | None = None,
         if len(p) != dim + 2:
             raise SpaceError(f"staircase point needs {dim + 2} axes")
         x = p[:dim]
-        base = base_of(x)
+        base = last_base if x == last_x else base_of(x)
         if not (h_lo <= p[dim + 1] <= h_hi):
             return None
         color, k = cell_of(base, p[dim])
@@ -376,17 +377,23 @@ def staircase_cover(n: int, r: int, dim: int | None = None,
         if not (h_lo <= h <= h_hi):
             return [(lo, hi, None, None)]
         base = base_of(x)
+        # only the first run goes through cell_of; from its end the runs
+        # alternate, a long run ending period-n-1 after a short one and the
+        # next short run n+1 after that
+        color, k = cell_of(base, lo)
+        if color == SHORT_COLOR:
+            end = base + k * period
+        else:
+            end = base + (k + 1) * period - n - 1
         runs = []
         t = lo
         while t <= hi:
-            color, k = cell_of(base, t)
-            if color == SHORT_COLOR:
-                end = base + k * period
-            else:
-                end = base + (k + 1) * period - n - 1
-            end = min(end, hi)
-            runs.append((t, end, color, (x, k)))
+            runs.append((t, min(end, hi), color, (x, k)))
             t = end + 1
+            if color == SHORT_COLOR:
+                color, end = LONG_COLOR, end + long_step
+            else:
+                color, k, end = SHORT_COLOR, k + 1, end + n + 1
         return runs
 
     h_extent = max(1, h_hi - h_lo)

@@ -6,11 +6,13 @@ exist: the pointwise path enumerates every window point and groups it by the
 scheme's classification, while the run path (for schemes that can describe
 their cells as maximal runs along one long axis) validates the reported runs
 against the pointwise classifier at their endpoints and midpoints and then
-measures from the run arithmetic: cells with one run layout whose fibers
-form a product of per-axis values are measured as one class, and a layout
-whose fibers are no product as one class per fiber.  On windows small
-enough for both, the two paths are required to agree, and the tests enforce
-that.
+measures from the run arithmetic.  It keeps no record per cell: as each
+fiber finishes, the fiber is appended to the run layout of each of its
+cells, so cells are grouped by layout; a layout whose fibers form a product
+of per-axis values is measured as one class, and one whose fibers are no
+product as one class per fiber.  Both paths count a point whose color lies
+outside [0, colors) as an error.  On windows small enough for both, the two
+paths are required to agree, and the tests enforce that.
 """
 
 from __future__ import annotations
@@ -244,26 +246,24 @@ def _measure_color_points(cells: dict, l1: bool):
 # run-path measurement
 # ---------------------------------------------------------------------------
 
-def _measure_color_runs(cells: dict):
-    """Measure one color whose cells are {key: (fiber, [(t0, t1), ...])}.
+def _measure_color_runs(by_layout: dict):
+    """Measure one color whose cells are grouped by run layout as
+    {((t0, t1), ...): [fiber, ...]}, one fiber per cell.
 
-    Every cell is {fiber} x runs.  Cells with one run layout are grouped,
-    and each group is measured as a class that is a product of per-axis
-    value lists: the group itself when its fibers fill that product, else
-    one single-fiber class per fiber.  Two cells of one fiber never share a
-    layout, because the fiber's runs tile it, so a class's cells lie on
-    distinct fibers and its closest pair is one step between consecutive
-    values on one axis.  Across two classes the per-axis gaps are
-    independent, so their distance is exactly max(run gap, largest per-axis
-    gap of the value lists).
+    Every cell is {fiber} x runs, so a layout's diameter is its last run end
+    minus its first run start.  Each layout is measured as a class that is a
+    product of per-axis value lists: the layout itself when its fibers fill
+    that product, else one single-fiber class per fiber.  Two cells of one
+    fiber never share a layout, because the fiber's runs tile it, so a
+    class's cells lie on distinct fibers and its closest pair is one step
+    between consecutive values on one axis.  Across two classes the per-axis
+    gaps are independent, so their distance is exactly max(run gap, largest
+    per-axis gap of the value lists).
     """
-    if not cells:
+    if not by_layout:
         return 0, None, None
-    diam = 0
-    by_layout: dict[tuple, list[tuple]] = {}
-    for fiber, runs in cells.values():
-        diam = max(diam, runs[-1][1] - runs[0][0])
-        by_layout.setdefault(tuple(runs), []).append(fiber)
+    cells_seen = sum(map(len, by_layout.values()))
+    diam = max(runs[-1][1] - runs[0][0] for runs in by_layout)
 
     classes = []  # (runs, per-axis sorted values)
     for runs, fibers in by_layout.items():
@@ -289,7 +289,7 @@ def _measure_color_runs(cells: dict):
             cand = max([run_gap, *map(sorted_min_gap, axes_a, axes_b)])
             if best is None or cand < best:
                 best = cand
-    return len(cells), diam, best
+    return cells_seen, diam, best
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +424,15 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
             f"window holds {fiber_count} fibers, budget is {point_budget}"
         )
 
-    cells: dict[int, dict] = {}
+    # per color: the keys of finished fibers, and {layout: [fiber, ...]}
+    finished: dict[int, set] = {c: set() for c in range(s.colors)}
+    by_layout: dict[int, dict] = {c: {} for c in range(s.colors)}
     uncovered: list = []
     uncovered_total = 0
     errors: list[str] = []
     error_total = 0
     points_seen = 0
+    span = t_hi - t_lo + 1
 
     classify = s.classify
     for fiber in itertools.product(*value_lists):
@@ -439,9 +442,10 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
         except SpaceError as exc:
             # every point of the fiber is an error, as on the pointwise path
             errors.append(f"{fiber!r}: {exc}")
-            points_seen += t_hi - t_lo + 1
-            error_total += t_hi - t_lo + 1
+            points_seen += span
+            error_total += span
             continue
+        layouts: dict[tuple, tuple] = {}  # (color, key) -> this fiber's runs
         expected = t_lo
         for t0, t1, color, key in runs:
             if t0 != expected or t1 < t0 or t1 > t_hi:
@@ -449,48 +453,60 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
                     f"fiber {fiber}: runs do not tile [{t_lo},{t_hi}]"
                 )
             expected = t1 + 1
-            points_seen += t1 - t0 + 1
             if color is None:
                 uncovered_total += t1 - t0 + 1
                 if len(uncovered) < max_listed:
                     uncovered.append(head + (t0,) + tail)
                 continue
             # both endpoints and the midpoint, each once, in ascending order
-            if t1 - t0 >= 2:
-                probes = (t0, (t0 + t1) // 2, t1)
-            elif t1 > t0:
-                probes = (t0, t1)
-            else:
-                probes = (t0,)
             claim = (color, key)
-            for t in probes:
-                probe = classify(head + (t,) + tail)
+            probe = classify(head + (t0,) + tail)
+            if probe != claim:
+                raise _disagreement(claim, t0, probe)
+            if t1 > t0:
+                if t1 - t0 >= 2:
+                    mid = (t0 + t1) // 2
+                    probe = classify(head + (mid,) + tail)
+                    if probe != claim:
+                        raise _disagreement(claim, mid, probe)
+                probe = classify(head + (t1,) + tail)
                 if probe != claim:
-                    raise VerifyError(
-                        f"run claim ({color}, {key}) at t={t} disagrees with "
-                        f"classify -> {probe}"
-                    )
-            entry = cells.setdefault(color, {}).get(key)
-            if entry is None:
-                cells[color][key] = (fiber, [(t0, t1)])
+                    raise _disagreement(claim, t1, probe)
+            done = finished.get(color)
+            if done is None:
+                # every point of the run is an error, as on the pointwise path
+                errors.append(f"{head + (t0,) + tail!r}: color {color} out "
+                              f"of range")
+                error_total += t1 - t0 + 1
+                continue
+            cell = layouts.get(claim)
+            if cell is not None:
+                layouts[claim] = cell + ((t0, t1),)
+            elif key in done:
+                raise VerifyError(
+                    "run-path verification needs single-fiber cells; "
+                    'use mode="pointwise" for this scheme'
+                )
             else:
-                if entry[0] != fiber:
-                    raise VerifyError(
-                        "run-path verification needs single-fiber cells; "
-                        'use mode="pointwise" for this scheme'
-                    )
-                entry[1].append((t0, t1))
+                layouts[claim] = ((t0, t1),)
         if expected != t_hi + 1:
             raise VerifyError(
                 f"fiber {fiber}: runs stop at {expected - 1} before {t_hi}"
             )
+        points_seen += span
+        for (color, key), layout in layouts.items():
+            finished[color].add(key)
+            by_layout[color].setdefault(layout, []).append(fiber)
 
-    def measure(per_key: dict):
-        return _measure_color_runs(per_key)
+    return _finish_report(s, w, by_layout, _measure_color_runs, uncovered,
+                          uncovered_total, errors, error_total, points_seen,
+                          "runs", max_listed)
 
-    return _finish_report(s, w, cells, measure, uncovered, uncovered_total,
-                          errors, error_total, points_seen, "runs",
-                          max_listed)
+
+def _disagreement(claim: tuple, t: int, probe) -> VerifyError:
+    color, key = claim
+    return VerifyError(f"run claim ({color}, {key}) at t={t} disagrees with "
+                       f"classify -> {probe}")
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,30 @@ def test_ord_rank_over_budget_is_inconclusive(tmp_path):
     assert (status, report["status"]) == (2, "inconclusive")
 
 
+def test_coarse_control_over_budget_is_inconclusive(tmp_path):
+    # levels 1..3 over box [-4, 4] hold 135 points, so C(135, 2) = 9,045
+    # pairs are checked
+    config = {
+        "map": {"name": "phi-tower", "params": {"n": 3}},
+        "domain": {"kind": "tower-with-factor", "step": "pow2",
+                   "factor_dim": 1},
+        "window": {"levels": [1, 3], "box": [-4, 4]},
+    }
+    out = tmp_path / "report.json"
+    assert run_experiment("coarse-control", config, out=str(out),
+                          budget=10) == 2
+    report = json.loads(out.read_text())
+    assert report["status"] == "inconclusive"
+    assert report["report"]["reason"] == ("window holds 9045 point pairs, "
+                                          "budget is 10")
+    assert run_experiment("coarse-control",
+                          {**config, "limits": {"node_budget": 9044}},
+                          out=str(out)) == 2
+    assert run_experiment("coarse-control", config, out=str(out),
+                          budget=9045) == 0
+    assert json.loads(out.read_text())["report"]["pairs_checked"] == 9045
+
+
 # ---------------------------------------------------------------------------
 # exit-contract fuzz
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 witness search, coarse controls and the exhaustive 1-D search."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -260,6 +261,76 @@ def test_run_path_rejects_a_cell_spread_over_two_fibers():
                        match='single-fiber cells; use mode="pointwise"'):
         verify_cover(scheme, spec, w, mode="runs")
     assert verify_cover(scheme, spec, w, mode="pointwise").passed
+
+
+def test_both_paths_count_an_out_of_range_color_as_errors():
+    # a one-color scheme that reports color 3 on every point and run
+    scheme = CoverScheme(
+        classify=lambda p: (3, p[0]), colors=1,
+        declared_separation={}, declared_bound={},
+        domain_note="color out of range",
+        moving_axis=1,
+        fiber_runs=lambda fiber, t_lo, t_hi: [(t_lo, t_hi, 3, fiber[0])],
+    )
+    spec = SpaceSpec.lattice((1, 1))
+    w = Window.make(box=((0, 1), (0, 9)))
+    a = verify_cover(scheme, spec, w, mode="pointwise")
+    b = verify_cover(scheme, spec, w, mode="runs")
+    assert (a.verdict, a.points_seen, a.error_total) == \
+        (b.verdict, b.points_seen, b.error_total) == ("fail", 20, 20)
+    assert a.per_color == b.per_color
+    assert b.error_sample == ["(0, 0): color 3 out of range",
+                              "(1, 0): color 3 out of range"]
+
+
+def test_run_path_agrees_on_a_cell_of_two_runs_on_one_fiber():
+    # blocks of 3 along t alternate colors, so each cell is the fiber's
+    # blocks of one color: two runs with a run of the other color between
+    def color_at(t):
+        return (t // 3) % 2
+
+    def fiber_runs(fiber, t_lo, t_hi):
+        runs, t = [], t_lo
+        while t <= t_hi:
+            end = min(t - t % 3 + 2, t_hi)
+            runs.append((t, end, color_at(t), (fiber[0], color_at(t))))
+            t = end + 1
+        return runs
+
+    scheme = CoverScheme(
+        classify=lambda p: (color_at(p[1]), (p[0], color_at(p[1]))),
+        colors=2, declared_separation={0: 3, 1: 3},
+        declared_bound={0: 8, 1: 8}, domain_note="two runs per cell",
+        moving_axis=1, fiber_runs=fiber_runs,
+    )
+    spec = SpaceSpec.lattice((3, 1))
+    w = Window.make(box=((0, 6), (0, 11)))
+    assert fiber_runs((0,), 0, 11)[::2] == [(0, 2, 0, (0, 0)),
+                                            (6, 8, 0, (0, 0))]
+    a = verify_cover(scheme, spec, w, mode="pointwise")
+    b = verify_cover(scheme, spec, w, mode="runs")
+    assert {**a.to_json(), "mode": "runs"} == b.to_json()
+    assert b.verdict == "pass"
+    assert [(r.cells_seen, r.max_diameter, r.min_cross_cell_separation)
+            for r in b.per_color] == [(3, 8, 3), (3, 8, 3)]
+
+
+def test_run_path_memory_per_cell():
+    # the run path keeps one run layout per group of cells, not a record
+    # per cell: 34,391 staircase cells over 4,913 fibers
+    scheme = staircase_cover(2, 3, height_interval=(3, 3))
+    spec = SpaceSpec.lattice((4, 4, 4, 1, 1))
+    w = Window.make(axis_boxes={0: (-32, 32), 1: (-32, 32), 2: (-32, 32),
+                                3: (0, 3 * 2920), 4: (3, 3)})
+    tracemalloc.start()
+    try:
+        rep = verify_cover(scheme, spec, w, mode="runs")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cells = sum(r.cells_seen for r in rep.per_color)
+    assert (rep.verdict, cells) == ("pass", 34391)
+    assert peak / cells < 200
 
 
 def test_report_json_round_trip_fields():
