@@ -47,7 +47,6 @@ from .verify import (
     WitnessResult,
     check_coarse_control,
     find_fiber_witnesses,
-    materialize,
     oracle_1d_nocover,
     verify_cover,
 )

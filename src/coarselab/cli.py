@@ -191,6 +191,16 @@ def parse_family(cfg: dict) -> FiniteFamily:
 # experiment kinds
 # ---------------------------------------------------------------------------
 
+def _over_budget(limits: dict, work: int, what: str) -> tuple[int, dict] | None:
+    """The inconclusive result (exit 2) of a run whose `work`, counted in its
+    own units and described by `what`, exceeds `limits.node_budget`."""
+    budget = limits.get("node_budget")
+    if budget is None or work <= budget:
+        return None
+    return 2, {"status": "inconclusive",
+               "reason": f"{what}, budget is {budget}"}
+
+
 def run_verify(cfg: dict, limits: dict) -> tuple[int, dict]:
     space = parse_space(cfg["space"])
     scheme = build_construction(cfg["construction"], space)
@@ -214,9 +224,15 @@ def run_witness(cfg: dict, limits: dict) -> tuple[int, dict]:
     families = [build_construction(f) for f in cfg["families"]]
     box_lo, box_hi = cfg["box"]
     dim = cfg.get("box_dim", 1)
+    fibers = [parse_point(f) for f in cfg["fibers"]]
+    # each fiber may scan every box point
+    probes = len(fibers) * len(range(box_lo, box_hi + 1)) ** dim
+    over = _over_budget(limits, probes, f"{len(fibers)} fibers over the box "
+                                        f"make {probes} fiber-point probes")
+    if over is not None:
+        return over
     box = [tuple(p)
            for p in itertools.product(range(box_lo, box_hi + 1), repeat=dim)]
-    fibers = [parse_point(f) for f in cfg["fibers"]]
     result = find_fiber_witnesses(families, fibers, box)
     body = result.to_json()
     status = 0 if result.all_fibers_witnessed else 1
@@ -246,14 +262,11 @@ def run_control(cfg: dict, limits: dict) -> tuple[int, dict]:
     codomain = (parse_space(cfg["codomain"]) if "codomain" in cfg
                 else lattice_max_distance)
     window = parse_window(cfg["window"])
-    budget = limits.get("node_budget")
-    if budget is not None:
-        # every pair of window points is checked
-        pairs = math.comb(window_size(domain, window), 2)
-        if pairs > budget:
-            return 2, {"status": "inconclusive",
-                       "reason": f"window holds {pairs} point pairs, "
-                                 f"budget is {budget}"}
+    # every pair of window points is checked
+    pairs = math.comb(window_size(domain, window), 2)
+    over = _over_budget(limits, pairs, f"window holds {pairs} point pairs")
+    if over is not None:
+        return over
     report = check_coarse_control(m, domain, codomain, window)
     status = 0 if report.passed else 1
     body = report.to_json()
@@ -286,11 +299,10 @@ def run_ord(cfg: dict, limits: dict) -> tuple[int, dict]:
     # the rank recursion and the inclusive closure each visit up to every
     # nonempty subset of every member
     subsets = sum((1 << len(m)) - 1 for m in family.members)
-    budget = limits.get("node_budget")
-    if budget is not None and subsets > budget:
-        return 2, {"status": "inconclusive",
-                   "reason": f"family members have {subsets} nonempty "
-                             f"subsets, budget is {budget}"}
+    over = _over_budget(limits, subsets, f"family members have {subsets} "
+                                         f"nonempty subsets")
+    if over is not None:
+        return over
     body = {
         "status": "ok",
         "rank": ord_rank(family),
@@ -303,6 +315,13 @@ def run_ord(cfg: dict, limits: dict) -> tuple[int, dict]:
 def run_satunion(cfg: dict, limits: dict) -> tuple[int, dict]:
     V = parse_family(cfg["V"])
     U = parse_family(cfg["U"])
+    # every U-cell is measured against every V-cell
+    pairs = len(U.cells) * len(V.cells)
+    over = _over_budget(limits, pairs, f"{len(U.cells)} U-cells by "
+                                       f"{len(V.cells)} V-cells make {pairs} "
+                                       f"cell pairs")
+    if over is not None:
+        return over
     if "space" in cfg:
         space = parse_space(cfg["space"])
         dist = lambda a, b: space_distance(space, a, b)  # noqa: E731

@@ -17,12 +17,14 @@ paths are required to agree, and the tests enforce that.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
-from .covers import CoverScheme, FiniteFamily
+from .covers import CoverScheme
 from .spaces import (  # noqa: F401  (space_distance is kept bound)
     ControlFn,
     IDENTITY,
@@ -137,16 +139,16 @@ class VerificationReport:
 # Cells are measured on the space's rows (`SpaceSpec.rows`), computed once
 # for the whole window so that every row has one shape.  A cell's summary is
 # its bounding box of rows.  Under the max metric (lattice, tower and product
-# rows) the diameter of ANY row set equals its widest box extent and the
-# largest per-axis gap between two boxes bounds their distance from below;
-# under the l1 metric (shift-union rows) the gaps sum instead and diameters
-# are measured pairwise.
+# rows) the diameter of ANY row set equals its widest box extent; under the
+# l1 metric (shift-union rows) diameters are measured pairwise.
 #
-# The box's axis 0 is the sort axis of the separation sweep: its gap between
-# two cells never exceeds their distance under either metric.  For tower and
+# Separation rests on one fact: the gap between two points, or two boxes, on
+# any single axis never exceeds their distance under either metric.  So the
+# box gaps of two cells bound their distance from below (their max under l∞,
+# their sum under l1), and so does the gap of two rows on any one axis.  The
+# box's axis 0 is the sort axis of the separation sweep.  For tower and
 # product rows it is the first padded coordinate, for shift-union rows the
-# level.  Only nearby cells are bounded with the box gap, and only those the
-# bound cannot rule out are measured exactly.
+# level.
 
 
 def _gap(a: tuple[int, int], b: tuple[int, int]) -> int:
@@ -161,18 +163,14 @@ def _box(rows: list) -> list[tuple[int, int]]:
     return [(min(vals), max(vals)) for vals in zip(*rows)]
 
 
-def _max_lower_bound(a, b) -> int:
-    best = 0
-    for (lo_a, hi_a), (lo_b, hi_b) in zip(a, b):
-        if lo_a - hi_b > best:
-            best = lo_a - hi_b
-        elif lo_b - hi_a > best:
-            best = lo_b - hi_a
-    return best
-
-
-def _l1_lower_bound(a, b) -> int:
-    return sum(_gap(x, y) for x, y in zip(a, b))
+def _near(cand, boxes: list, box_a, best, axes) -> list:
+    """The indices in `cand` whose box lies closer than `best` to `box_a` on
+    each axis in `axes`: the others are at least `best` away."""
+    for k in axes:
+        lo_a, hi_a = box_a[k]
+        cand = [b for b in cand
+                if boxes[b][k][0] - hi_a < best and lo_a - boxes[b][k][1] < best]
+    return cand
 
 
 def _row_distance(l1: bool):
@@ -186,40 +184,52 @@ def _min_separation_points(cells: list[list], boxes: list,
     """Exact minimum distance between distinct cells of rows, by sweep and
     prune.
 
-    Cells are visited in ascending order of their box's axis-0 `lo`.  For a
-    cell with axis-0 interval (lo_a, hi_a) and any later cell with (lo_b,
-    hi_b), lo_b >= lo_a, so the interval gap is max(0, lo_b - hi_a); it
-    bounds their distance from below and never decreases along the order.
-    Once lo_b - hi_a reaches the best distance so far, no later cell can come
-    closer to this one and its scan stops.  Inside the scan, a pair whose
-    box lower bound already reaches the best is skipped, and every other
-    pair is measured exactly through the metric.  `best` only falls, so
-    every pair left unmeasured is at least the final `best` apart and the
-    result is the exact minimum; a distance of 0 ends the sweep at once.
+    `best` is the least distance measured so far; it only falls, and a pair
+    is skipped only when a single-axis gap shows it is at least `best` apart,
+    so the result is the exact minimum.  A distance of 0 ends the sweep.
+
+    - *Slab.*  Cells are visited in ascending order of their box's axis-0
+      `lo`.  A later cell b has lo_b >= lo_a, so its axis-0 gap to cell a is
+      max(0, lo_b - hi_a): only the cells with lo_b < hi_a + best, found by
+      bisection, can come closer than `best`.
+    - *Filter.*  Of those, a cell stays only while its box gap to a on each
+      further axis is below `best`.
+    - *Bound and window.*  For each pair left, the per-axis box gaps give the
+      lower bound (their max under l∞, their sum under l1); a pair whose
+      bound reaches `best` is skipped.  The widest gap names the window axis
+      k.
+    - *Exact step.*  Cell b's rows are sorted by coordinate k.  Each row p of
+      cell a is measured only against the rows q with |q_k - p_k| < best,
+      found by bisection; every other q is at least `best` from p.
     """
     if len(cells) < 2:
         return None
     order = sorted(range(len(cells)), key=lambda i: boxes[i][0][0])
-    los = [boxes[i][0][0] for i in order]
-    his = [boxes[i][0][1] for i in order]
-    sorted_boxes = [boxes[i] for i in order]
-    pts = [cells[i] for i in order]
-    lower_bound = _l1_lower_bound if l1 else _max_lower_bound
+    boxes = [boxes[i] for i in order]
+    cells = [cells[i] for i in order]
+    los = [box[0][0] for box in boxes]
+    axes = range(1, len(boxes[0]))
     distance = _row_distance(l1)
-    best = float("inf")
-    for a in range(len(order)):
-        hi_a = his[a]
-        box_a = sorted_boxes[a]
-        for b in range(a + 1, len(order)):
-            if los[b] - hi_a >= best:
-                break
-            if lower_bound(box_a, sorted_boxes[b]) >= best:
+    best = math.inf
+    for a, box_a in enumerate(boxes):
+        stop = bisect.bisect_left(los, box_a[0][1] + best, a + 1)
+        for b in _near(range(a + 1, stop), boxes, box_a, best, axes):
+            gaps = list(map(_gap, box_a, boxes[b]))
+            widest = max(gaps)
+            if (sum(gaps) if l1 else widest) >= best:
                 continue
-            d = min(distance(p, q) for p in pts[a] for q in pts[b])
-            if d < best:
-                if d == 0:
-                    return 0
-                best = d
+            k = gaps.index(widest)
+            rows_b = sorted(cells[b], key=operator.itemgetter(k))
+            keys = [q[k] for q in rows_b]
+            for p in cells[a]:
+                x = p[k]
+                for q in rows_b[bisect.bisect_right(keys, x - best):
+                                bisect.bisect_left(keys, x + best)]:
+                    d = distance(p, q)
+                    if d < best:
+                        if d == 0:
+                            return 0
+                        best = d
     return best
 
 
@@ -258,7 +268,10 @@ def _measure_color_runs(by_layout: dict):
     class's cells lie on distinct fibers and its closest pair is one step
     between consecutive values on one axis.  Across two classes the per-axis
     gaps are independent, so their distance is exactly max(run gap, largest
-    per-axis gap of the value lists).
+    per-axis gap of the value lists).  Classes are swept in order of their
+    first run start and pruned as `_min_separation_points` prunes cells: the
+    slab of later classes that start less than the best distance after this
+    class's last run end, narrowed axis by axis on the fiber boxes.
     """
     if not by_layout:
         return 0, None, None
@@ -272,24 +285,34 @@ def _measure_color_runs(by_layout: dict):
             classes.append((runs, axes))
         else:
             classes.extend((runs, [[v] for v in fiber]) for fiber in fibers)
+    classes.sort(key=lambda c: c[0][0][0])
+    starts = [runs[0][0] for runs, _ in classes]
     boxes = [[(vals[0], vals[-1]) for vals in axes] for _, axes in classes]
+    fiber_axes = range(len(boxes[0]))
 
-    best: int | None = None
+    best = math.inf
     for idx, ((runs_a, axes_a), box_a) in enumerate(zip(classes, boxes)):
         for vals in axes_a:
             for a, b in zip(vals, vals[1:]):
-                if best is None or b - a < best:
+                if b - a < best:
                     best = b - a
-        for (runs_b, axes_b), box_b in zip(classes[idx + 1:],
-                                           boxes[idx + 1:]):
+        # a later class starts at or after runs_a[0][0], so its run gap is at
+        # least its start minus this class's last run end
+        stop = bisect.bisect_left(starts, runs_a[-1][1] + best, idx + 1)
+        for j in _near(range(idx + 1, stop), boxes, box_a, best, fiber_axes):
+            runs_b, axes_b = classes[j]
             run_gap = min(_gap(a, b) for a in runs_a for b in runs_b)
-            if best is not None and max(
-                    run_gap, _max_lower_bound(box_a, box_b)) >= best:
+            if max([run_gap, *map(_gap, box_a, boxes[j])]) >= best:
                 continue
-            cand = max([run_gap, *map(sorted_min_gap, axes_a, axes_b)])
-            if best is None or cand < best:
-                best = cand
-    return cells_seen, diam, best
+            # the distance is the largest gap: stop at one that reaches best
+            gap = run_gap
+            for xs, ys in zip(axes_a, axes_b):
+                gap = max(gap, sorted_min_gap(xs, ys))
+                if gap >= best:
+                    break
+            else:
+                best = gap
+    return cells_seen, diam, None if best == math.inf else best
 
 
 # ---------------------------------------------------------------------------
@@ -507,24 +530,6 @@ def _disagreement(claim: tuple, t: int, probe) -> VerifyError:
     color, key = claim
     return VerifyError(f"run claim ({color}, {key}) at t={t} disagrees with "
                        f"classify -> {probe}")
-
-
-# ---------------------------------------------------------------------------
-# materialization
-# ---------------------------------------------------------------------------
-
-def materialize(s: CoverScheme, spec: SpaceSpec, w: Window) -> dict[int, FiniteFamily]:
-    """Group the window's points into one FiniteFamily per color, in
-    deterministic order.  Uncovered points are simply absent."""
-    grouped: dict[int, dict] = {}
-    for p in iter_window(spec, w):
-        res = s.classify(p)
-        if res is None:
-            continue
-        color, key = res
-        grouped.setdefault(color, {}).setdefault(key, []).append(p)
-    return {color: FiniteFamily.of(per_key)
-            for color, per_key in sorted(grouped.items())}
 
 
 # ---------------------------------------------------------------------------

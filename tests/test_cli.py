@@ -154,17 +154,19 @@ def test_satunion_command(tmp_path):
     assert report["report"]["output_points"] == 17
 
 
+WITNESS_CONFIG = {
+    "families": [{"name": "interval", "params": {"size": 6, "sep": 3}}],
+    "fibers": [[4 * i] for i in range(25)],
+    "box": [-5, 5],
+    "box_dim": 1,
+    "fiber_space": {"kind": "plain-lattice", "axis_steps": [4]},
+    "control": {"lower": {"kind": "identity"},
+                "upper": {"kind": "plus-const", "c": 10}},
+}
+
+
 def test_witness_command_with_control(tmp_path):
-    config = {
-        "families": [{"name": "interval", "params": {"size": 6, "sep": 3}}],
-        "fibers": [[4 * i] for i in range(25)],
-        "box": [-5, 5],
-        "box_dim": 1,
-        "fiber_space": {"kind": "plain-lattice", "axis_steps": [4]},
-        "control": {"lower": {"kind": "identity"},
-                    "upper": {"kind": "plus-const", "c": 10}},
-    }
-    status, report = run_cli(tmp_path, "witness", config)
+    status, report = run_cli(tmp_path, "witness", WITNESS_CONFIG)
     assert status == 0
     assert report["report"]["all_fibers_witnessed"] is True
     assert report["report"]["control"]["violations"] == 0
@@ -271,6 +273,42 @@ def test_coarse_control_over_budget_is_inconclusive(tmp_path):
     assert run_experiment("coarse-control", config, out=str(out),
                           budget=9045) == 0
     assert json.loads(out.read_text())["report"]["pairs_checked"] == 9045
+
+
+def test_fiber_witness_over_budget_is_inconclusive(tmp_path):
+    # 25 fibers may each scan all 11 box points: 275 probes
+    out = tmp_path / "report.json"
+    assert run_experiment("fiber-witness", WITNESS_CONFIG, out=str(out),
+                          budget=274) == 2
+    report = json.loads(out.read_text())
+    assert report["status"] == "inconclusive"
+    assert report["report"]["reason"] == (
+        "25 fibers over the box make 275 fiber-point probes, budget is 274")
+    assert run_experiment("fiber-witness",
+                          {**WITNESS_CONFIG, "limits": {"node_budget": 275}},
+                          out=str(out)) == 0
+    assert json.loads(out.read_text())["report"]["witnessed"] == 25
+
+
+def test_saturated_union_over_budget_is_inconclusive(tmp_path):
+    # 2 U-cells by 1 V-cell
+    config = {
+        "V": {"cells": [{"key": ["v"], "points": [[0], [1]]}]},
+        "U": {"cells": [{"key": ["u"], "points": [[3]]},
+                        {"key": ["w"], "points": [[9]]}]},
+        "r": 2,
+    }
+    out = tmp_path / "report.json"
+    assert run_experiment("saturated-union", config, out=str(out),
+                          budget=1) == 2
+    report = json.loads(out.read_text())
+    assert report["status"] == "inconclusive"
+    assert report["report"]["reason"] == ("2 U-cells by 1 V-cells make 2 "
+                                          "cell pairs, budget is 1")
+    assert run_experiment("saturated-union",
+                          {**config, "limits": {"node_budget": 2}},
+                          out=str(out)) == 0
+    assert json.loads(out.read_text())["report"]["output_points"] == 4
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from coarselab.spaces import (
     lattice_max_distance,
     space_distance,
 )
+from coarselab import verify
 from coarselab.verify import _measure_color_points, _measure_color_runs
 
 COORD = st.integers(-6, 6)
@@ -108,6 +109,63 @@ LAYOUTS = {
 @given(data=st.data())
 def test_sweep_matches_all_pairs_minimum(kind, data):
     assert_sweep_matches_brute(*data.draw(LAYOUTS[kind]))
+
+
+@st.composite
+def spread_layouts(draw):
+    """15 to 40 cells of 1 to 4 rows, each near its own corner of a box wide
+    enough that most cell pairs are pruned, under l∞ (lattice rows) or l1
+    (shift-union rows, whose axis 0 is the level).  Each cell's rows come in
+    shuffled order."""
+    l1 = draw(st.booleans())
+    dim = draw(st.integers(1, 3))
+    offsets = st.tuples(*[st.integers(0, 3)] * dim)
+    cells = []
+    for _ in range(draw(st.integers(15, 40))):
+        corner = draw(st.tuples(*[st.integers(0, 40)] * dim))
+        rows = {tuple(map(sum, zip(corner, offset)))
+                for offset in draw(st.lists(offsets, min_size=1,
+                                            max_size=4))}
+        cells.append(draw(st.permutations(sorted(rows))))
+    if not l1:
+        return SpaceSpec.lattice((1,) * dim), cells
+    return SpaceSpec.shift_union(), [
+        [ShiftPoint.from_support(dict(enumerate(row[1:], 1)), row[0])
+         for row in rows] for rows in cells]
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout=spread_layouts())
+# row (6, 4) is exactly the running best, 4, from row (3, 0) on the window
+# axis 1, so the window leaves it out
+@example(layout=(SpaceSpec.lattice((1, 1)),
+                 [[(4, 6), (1, 4), (6, 4)], [(3, 0)]]))
+# the boxes are apart on axis 2 only, so the window axis is 2
+@example(layout=(SpaceSpec.lattice((1, 1, 1)),
+                 [[(0, 0, 0), (2, 2, 1)],
+                  [(1, 5, 9), (0, -3, 6), (2, 1, 4)]]))
+def test_spread_layouts_match_all_pairs_minimum(layout):
+    assert_sweep_matches_brute(*layout)
+
+
+@pytest.mark.parametrize("shift, separation", [((10, 0), 1), ((0, 11), 2)])
+def test_exact_step_measures_only_the_window(monkeypatch, shift,
+                                             separation):
+    """All pairs of two 10 x 10 cells are 10,000 distances; the slab, the
+    filter and the window leave at most 200."""
+    calls = 0
+
+    def counted(p, q):
+        nonlocal calls
+        calls += 1
+        return lattice_max_distance(p, q)
+
+    monkeypatch.setattr(verify, "lattice_max_distance", counted)
+    square = [(x, y) for x in range(10) for y in range(10)]
+    moved = [(x + shift[0], y + shift[1]) for x, y in square]
+    assert (_measure_color_points({0: square, 1: moved}, l1=False)
+            == (2, 9, separation))
+    assert calls <= 200
 
 
 @given(cells=st.lists(st.lists(st.tuples(COORD), min_size=1, max_size=2),

@@ -39,7 +39,6 @@ from coarselab.verify import (
     assignment_scheme,
     check_coarse_control,
     find_fiber_witnesses,
-    materialize,
     oracle_1d_nocover,
     verify_cover,
 )
@@ -178,7 +177,6 @@ def test_zero_point_window_passes_with_empty_colors():
     rep = verify_cover(grid_cover(1, 3), spec, w)
     assert rep.points_seen == 0
     assert rep.verdict == "pass-with-empty-color"
-    assert materialize(grid_cover(1, 3), spec, w) == {}
 
 
 def test_run_path_agrees_with_pointwise():
@@ -340,22 +338,6 @@ def test_report_json_round_trip_fields():
     assert body["verdict"] == "pass"
     assert body["per_color"][0]["min_cross_cell_separation"] == 4
     assert "window" in body and "points_seen" in body
-
-
-def test_materialize_groups_by_cell():
-    fams = materialize(grid_cover(1, 5), SpaceSpec.lattice((1,)),
-                       Window.make(box=((0, 9),)))
-    # [0,9] splits into the even block {0..4} and the odd block {5..9}
-    sets = {color: sorted(sorted(p[0] for p in pts) for _, pts in fam.cells)
-            for color, fam in fams.items()}
-    assert sorted(sets.values()) == [[[0, 1, 2, 3, 4]], [[5, 6, 7, 8, 9]]]
-
-
-def test_singleton_cells_in_materialization():
-    spec = SpaceSpec.tower("identity")
-    fams = materialize(singleton_cover(spec, 2), spec,
-                       Window.make(levels=(3, 3), box=(-3, 3)))
-    assert all(len(pts) == 1 for _, pts in fams[0].cells)
 
 
 # ---------------------------------------------------------------------------
