@@ -31,7 +31,6 @@ from .spaces import (
     TowerPoint,
     Window,
     WindowError,
-    enumerate_window,
     evaluate_map,
     pad_point,
     shift_distance,

@@ -27,9 +27,9 @@ from .spaces import (
     ControlFn,
     IDENTITY,
     MapSpec,
+    ProductSpace,
     SpaceSpec,
     Window,
-    lattice_max_distance,
 )
 from .verify import (
     assignment_scheme,
@@ -277,8 +277,7 @@ def criterion_witnesses() -> CriterionResult:
             lower=IDENTITY, upper=ControlFn("plus-const", 2 * R_box),
         )
         ctrl = check_coarse_control(
-            delta, SpaceSpec.lattice((4,)), lattice_max_distance,
-            points=fibers,
+            delta, SpaceSpec.lattice((4,)), points=fibers,
         )
         ok = (res.all_fibers_witnessed and len(fibers) >= 100
               and ctrl.passed and ctrl.pairs_checked >= 100)
@@ -355,8 +354,7 @@ def criterion_saturated_union(seed: int = DEFAULT_SEED) -> CriterionResult:
             good = all(pts[-1][0] - pts[0][0] <= bound for pts in cells)
             for i in range(len(cells)):
                 for j in range(i + 1, len(cells)):
-                    d = covers.set_distance(cells[i], cells[j],
-                                            lattice_max_distance)
+                    d = covers.set_distance(cells[i], cells[j])
                     if d < r:
                         good = False
             union_in = U.point_union() | V.point_union()
@@ -414,8 +412,7 @@ def criterion_isometries() -> CriterionResult:
         phi = MapSpec.make("phi-tower", {"n": 3})
         spec_phi = SpaceSpec.tower_with_factor("pow2", 1)
         ctrl = check_coarse_control(
-            phi, spec_phi, lattice_max_distance,
-            Window.make(levels=(1, 3), box=(-6, 6)),
+            phi, spec_phi, w=Window.make(levels=(1, 3), box=(-6, 6)),
         )
         ok = ok and ctrl.passed and ctrl.pairs_checked >= 10000
         details["phi-tower"] = {"pairs": ctrl.pairs_checked,
@@ -424,8 +421,7 @@ def criterion_isometries() -> CriterionResult:
         psi = MapSpec.make("psi-staircase", {"n": 2, "r": 4})
         spec_psi = SpaceSpec.tower_with_factor("pow2", 1)
         ctrl = check_coarse_control(
-            psi, spec_psi, lattice_max_distance,
-            Window.make(levels=(3, 4), box=(-8, 8)),
+            psi, spec_psi, w=Window.make(levels=(3, 4), box=(-8, 8)),
         )
         ok = ok and ctrl.passed and ctrl.pairs_checked >= 10000
         details["psi-staircase"] = {"pairs": ctrl.pairs_checked,
@@ -438,13 +434,9 @@ def criterion_isometries() -> CriterionResult:
                 for c in (-3, 0, 3)]
         pair_points = [(x, y) for x in base for y in base]
         pair_points = pair_points[:: max(1, len(pair_points) // 160)]
-
-        def pair_dist(p, q):
-            return max(lattice_max_distance(p[0], q[0]),
-                       lattice_max_distance(p[1], q[1]))
-
-        ctrl = check_coarse_control(theta, pair_dist, lattice_max_distance,
-                                    points=pair_points)
+        spec_theta = ProductSpace(SpaceSpec.lattice((1, 2, 3)),
+                                  SpaceSpec.lattice((1, 2, 3)))
+        ctrl = check_coarse_control(theta, spec_theta, points=pair_points)
         ok = ok and ctrl.passed and ctrl.pairs_checked >= 10000
         details["theta-interleave"] = {"pairs": ctrl.pairs_checked,
                                        "violations": len(ctrl.violations)}
@@ -454,8 +446,8 @@ def criterion_isometries() -> CriterionResult:
             lower=ControlFn("scaled", 0), upper=IDENTITY,
         )
         ctrl = check_coarse_control(
-            proj, SpaceSpec.shift_union(), lattice_max_distance,
-            Window.make(levels=(0, 2), box=(-4, 4), max_support=2),
+            proj, SpaceSpec.shift_union(),
+            w=Window.make(levels=(0, 2), box=(-4, 4), max_support=2),
         )
         ok = ok and ctrl.passed and ctrl.pairs_checked >= 10000
         details["f-level-projection"] = {"pairs": ctrl.pairs_checked,

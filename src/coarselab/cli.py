@@ -40,9 +40,6 @@ from .spaces import (
     SpaceSpec,
     TowerPoint,
     Window,
-    lattice_max_distance,
-    space_distance,
-    window_size,
 )
 from .verify import (
     BudgetExceeded,
@@ -246,8 +243,7 @@ def run_witness(cfg: dict, limits: dict) -> tuple[int, dict]:
             upper=parse_control(control_cfg.get("upper")),
         )
         ctrl = check_coarse_control(
-            delta, parse_space(cfg["fiber_space"]), lattice_max_distance,
-            points=fibers,
+            delta, parse_space(cfg["fiber_space"]), points=fibers,
         )
         body["control"] = ctrl.to_json()
         if not ctrl.passed:
@@ -259,11 +255,10 @@ def run_witness(cfg: dict, limits: dict) -> tuple[int, dict]:
 def run_control(cfg: dict, limits: dict) -> tuple[int, dict]:
     m = parse_map(cfg["map"])
     domain = parse_space(cfg["domain"])
-    codomain = (parse_space(cfg["codomain"]) if "codomain" in cfg
-                else lattice_max_distance)
+    codomain = parse_space(cfg["codomain"]) if "codomain" in cfg else None
     window = parse_window(cfg["window"])
     # every pair of window points is checked
-    pairs = math.comb(window_size(domain, window), 2)
+    pairs = math.comb(domain.size(window), 2)
     over = _over_budget(limits, pairs, f"window holds {pairs} point pairs")
     if over is not None:
         return over
@@ -322,12 +317,8 @@ def run_satunion(cfg: dict, limits: dict) -> tuple[int, dict]:
                                        f"cell pairs")
     if over is not None:
         return over
-    if "space" in cfg:
-        space = parse_space(cfg["space"])
-        dist = lambda a, b: space_distance(space, a, b)  # noqa: E731
-    else:
-        dist = lattice_max_distance
-    out = saturated_union(V, U, cfg["r"], dist=dist)
+    space = parse_space(cfg["space"]) if "space" in cfg else None
+    out = saturated_union(V, U, cfg["r"], space)
 
     def point_order(p):
         return p.key() if hasattr(p, "key") else p

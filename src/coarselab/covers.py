@@ -25,6 +25,7 @@ from .spaces import (
     SpaceError,
     SpaceSpec,
     TowerPoint,
+    TowerSpace,
     evaluate_map,
     lattice_max_distance,
     level_height,
@@ -233,7 +234,7 @@ def spaced_interval_cover(size: int, sep: int, offset: int = 0) -> CoverScheme:
 def singleton_cover(spec: SpaceSpec, threshold: int) -> CoverScheme:
     """One color whose cells are the singletons of all tower points above
     `threshold`; points at or below it are left uncovered."""
-    if spec.kind != "tower":
+    if not (isinstance(spec, TowerSpace) and spec.factor_dim == 0):
         raise CoverError("singleton_cover wants a plain tower space")
     if threshold < 0:
         raise CoverError("threshold must be a natural")
@@ -756,23 +757,31 @@ class FiniteFamily:
         return len(self.cells)
 
 
-def set_distance(A: Iterable, B: Iterable, dist: Callable) -> int:
-    """Exact minimum distance between two nonempty finite point sets, with a
-    sorted linear-merge fast path for 1-D lattice points."""
+def set_distance(A: Iterable, B: Iterable,
+                 space: SpaceSpec | None = None) -> int:
+    """Exact minimum distance between two nonempty finite point sets of
+    `space`, on rows built in one `space.rows` call; with no space, the
+    points are integer tuples measured as their own rows under l-infinity.
+    One-column rows are measured by a sorted linear merge."""
     A = list(A)
     B = list(B)
     if not A or not B:
         raise CoverError("set distance needs nonempty sets")
-    if (dist is lattice_max_distance
-            and all(isinstance(p, tuple) and len(p) == 1 for p in A[:1] + B[:1])):
-        return sorted_min_gap(sorted(p[0] for p in A), sorted(p[0] for p in B))
-    return min(dist(a, b) for a in A for b in B)
+    rows = A + B if space is None else space.rows(A + B)
+    if len(set(map(len, rows))) > 1:
+        raise SpaceError("set distance needs points of one dimension")
+    xs, ys = rows[:len(A)], rows[len(A):]
+    if len(rows[0]) == 1:
+        return sorted_min_gap(sorted(x for x, in xs), sorted(y for y, in ys))
+    metric = lattice_max_distance if space is None else space.row_metric
+    return min(metric(a, b) for a in xs for b in ys)
 
 
 def saturated_union(V: FiniteFamily, U: FiniteFamily, r: int,
-                    dist: Callable = lattice_max_distance) -> FiniteFamily:
+                    space: SpaceSpec | None = None) -> FiniteFamily:
     """Absorb every U-cell within distance r of V into its nearest V-cell
-    (ties to the smallest cell key); far U-cells survive unchanged.
+    (ties to the smallest cell key); far U-cells survive unchanged.  Points
+    are measured as `set_distance` measures them in `space`.
 
     The output contains every input point, and keys are tagged 0 for grown
     V-cells and 1 for surviving U-cells so the two sides never collide.
@@ -784,7 +793,7 @@ def saturated_union(V: FiniteFamily, U: FiniteFamily, r: int,
     for u_key, u_pts in U.cells:
         best = None
         for v_key, v_pts in V.cells:
-            d = set_distance(u_pts, v_pts, dist)
+            d = set_distance(u_pts, v_pts, space)
             if best is None or (d, canon_key(v_key)) < best[:2]:
                 best = (d, canon_key(v_key), v_key)
         if best is not None and best[0] <= r:

@@ -2,10 +2,11 @@
 
 Every space here is a set of integer vectors with an exact metric: tower
 spaces (a union of scaled lattices of growing dimension with a level-penalty
-maximum metric), their products, plain lattices with per-axis scales, and the
-shift-union space carried by finitely supported integer sequences with an
-l1-plus-level metric.  Each kind is one `SpaceSpec` subclass, and each
-metric is l-infinity or l1 on the integer rows its `rows` method builds.
+maximum metric), plain lattices with per-axis scales, products of two such
+l-infinity spaces, and the shift-union space carried by finitely supported
+integer sequences with an l1-plus-level metric.  Each kind is one
+`SpaceSpec` subclass, and each metric is l-infinity or l1 on the integer
+rows its `rows` method builds.
 All operations are pure and use arbitrary-precision integers only; nothing
 here is ever approximated.
 """
@@ -125,8 +126,8 @@ class ShiftPoint:
         return (self.level, self.support)
 
 
-# Lattice points are plain tuples of ints; product-of-tower points are pairs
-# of TowerPoints.
+# Lattice points are plain tuples of ints; product points are pairs of factor
+# points.
 Point = object
 
 
@@ -301,7 +302,6 @@ class SpaceSpec:
     `rows(points)`, and the per-level axis lists `_blocks(window)` that
     `size` counts (or its own `size`)."""
 
-    kind: ClassVar[str]
     l1: ClassVar[bool] = False  # rows are measured in l1, else in l-infinity
 
     # -- constructors ------------------------------------------------------
@@ -320,7 +320,7 @@ class SpaceSpec:
 
     @classmethod
     def product_of_towers(cls, step: str = "pow2") -> "ProductSpace":
-        return ProductSpace(step)
+        return ProductSpace(TowerSpace(step), TowerSpace(step))
 
     @classmethod
     def lattice(cls, axis_steps: Sequence[int]) -> "LatticeSpace":
@@ -328,9 +328,13 @@ class SpaceSpec:
 
     # -- shared behaviour --------------------------------------------------
 
+    @property
+    def row_metric(self) -> Callable[[Sequence[int], Sequence[int]], int]:
+        """The metric on the rows of one `rows` call: l1 or l-infinity."""
+        return l1_distance if self.l1 else lattice_max_distance
+
     def distance(self, p, q) -> int:
-        a, b = self.rows([p, q])
-        return l1_distance(a, b) if self.l1 else lattice_max_distance(a, b)
+        return self.row_metric(*self.rows([p, q]))
 
     def size(self, w: Window) -> int:
         """Number of points `iter(w)` yields, without enumerating."""
@@ -349,10 +353,6 @@ class TowerSpace(SpaceSpec):
 
     step_name: str = "identity"
     factor_dim: int = 0
-
-    @property
-    def kind(self) -> str:
-        return "tower-with-factor" if self.factor_dim else "tower"
 
     @property
     def step(self) -> Callable[[int], int]:
@@ -404,32 +404,33 @@ class TowerSpace(SpaceSpec):
 
 @dataclass(frozen=True, slots=True)
 class ProductSpace(SpaceSpec):
-    """Pairs of tower points under the max of the two factor distances; a
-    row is the two factor rows joined."""
+    """Pairs of points of two l-infinity spaces under the max of the two
+    factor distances.  Both factors enumerate the same window, and a row is
+    the two factor rows joined."""
 
-    kind: ClassVar[str] = "product-of-towers"
-    step_name: str = "pow2"
+    first: SpaceSpec
+    second: SpaceSpec
 
-    @property
-    def factor(self) -> TowerSpace:
-        return TowerSpace(self.step_name)
+    def __post_init__(self) -> None:
+        if self.first.l1 or self.second.l1:
+            raise SpaceError("product factors must be measured in l-infinity")
 
     def validate(self, p) -> None:
-        if not (isinstance(p, tuple) and len(p) == 2
-                and all(isinstance(q, TowerPoint) for q in p)):
-            raise SpaceError("expected a pair of TowerPoints")
-        self.factor.validate(p[0])
-        self.factor.validate(p[1])
+        if not (isinstance(p, tuple) and len(p) == 2):
+            raise SpaceError("expected a pair of factor points")
+        self.first.validate(p[0])
+        self.second.validate(p[1])
 
     def size(self, w: Window) -> int:
-        return self.factor.size(w) ** 2
+        return self.first.size(w) * self.second.size(w)
 
-    def iter(self, w: Window) -> Iterator[tuple[TowerPoint, TowerPoint]]:
-        yield from itertools.product(list(self.factor.iter(w)), repeat=2)
+    def iter(self, w: Window) -> Iterator[tuple]:
+        yield from itertools.product(list(self.first.iter(w)),
+                                     list(self.second.iter(w)))
 
     def rows(self, points: Sequence[tuple]) -> list[tuple[int, ...]]:
-        firsts = self.factor.rows([p[0] for p in points])
-        seconds = self.factor.rows([p[1] for p in points])
+        firsts = self.first.rows([p[0] for p in points])
+        seconds = self.second.rows([p[1] for p in points])
         return [a + b for a, b in zip(firsts, seconds)]
 
 
@@ -438,7 +439,6 @@ class ShiftUnionSpace(SpaceSpec):
     """Finitely supported sequences under the l1-plus-level metric.  A row is
     (level, v_i, ...) over every index some point in play supports."""
 
-    kind: ClassVar[str] = "shift-union"
     l1: ClassVar[bool] = True
 
     def validate(self, p) -> None:
@@ -480,7 +480,6 @@ class LatticeSpace(SpaceSpec):
     """Integer vectors with per-axis steps under the max metric; points are
     their own rows."""
 
-    kind: ClassVar[str] = "plain-lattice"
     axis_steps: tuple[int, ...]
 
     def __post_init__(self) -> None:
@@ -524,19 +523,8 @@ def space_distance(spec: SpaceSpec, p, q) -> int:
     return spec.distance(p, q)
 
 
-def enumerate_window(spec: SpaceSpec, w: Window) -> list:
-    """Deterministic, duplicate-free list of the points of `spec` inside `w`,
-    in lexicographic order by (level, coords, extra)."""
-    return list(spec.iter(w))
-
-
 def iter_window(spec: SpaceSpec, w: Window) -> Iterator:
     return spec.iter(w)
-
-
-def window_size(spec: SpaceSpec, w: Window) -> int:
-    """Number of points `enumerate_window` would produce, without enumerating."""
-    return spec.size(w)
 
 
 # ---------------------------------------------------------------------------

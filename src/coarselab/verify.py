@@ -1,7 +1,11 @@
 """Empirical verification of cover schemes, witnesses, coarse controls and
 the exhaustive 1-D cluster-cover search.
 
-All measurements are exact integers.  Two independent measurement paths
+All measurements are exact integers, and every distance is a `SpaceSpec`
+row metric: l-infinity or l1 on the integer rows one `rows` call builds.  A
+coarse-control check measures the images of a map the same way, under its
+codomain space, or as their own rows under l-infinity when it has none; no
+function here takes a distance callable.  Two independent measurement paths
 exist: the pointwise path enumerates every window point and groups it by the
 scheme's classification, while the run path (for schemes that can describe
 their cells as maximal runs along one long axis) validates the reported runs
@@ -42,12 +46,13 @@ from .spaces import (  # noqa: F401  (space_distance is kept bound)
     multiples_in,
     sorted_min_gap,
     space_distance,
-    window_size,
 )
 
 # bench/tracing.py replaces `iter_window`, `lattice_max_distance` and
 # `space_distance` in this module to time those layers, so all three stay
-# bound here and are looked up at call time.
+# bound here and are looked up at call time.  Every l-infinity distance this
+# module takes passes through `lattice_max_distance`; nothing here calls
+# `space_distance`.
 
 
 class VerifyError(RuntimeError):
@@ -72,10 +77,8 @@ def point_to_json(p):
     if isinstance(p, ShiftPoint):
         return {"level": p.level,
                 "support": {str(i): v for i, v in p.support}}
-    if isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], TowerPoint):
-        return [point_to_json(p[0]), point_to_json(p[1])]
-    if isinstance(p, tuple):
-        return list(p)
+    if isinstance(p, tuple):  # a lattice point, or a pair of factor points
+        return [point_to_json(c) for c in p]
     return p
 
 
@@ -354,7 +357,7 @@ def verify_cover(s: CoverScheme, spec: SpaceSpec, w: Window, *,
             f"mode='pointwise' to enumerate it")
     use_runs = runs_possible and (mode == "runs" or long_axis)
     if not use_runs:
-        size = window_size(spec, w)
+        size = spec.size(w)
         if point_budget is not None and size > point_budget:
             raise BudgetExceeded(
                 f"window holds {size} points, budget is {point_budget}"
@@ -619,15 +622,8 @@ class ControlReport:
         }
 
 
-def _measured(dist, points: Sequence):
-    """(values, metric) that measure `points` under `dist`: a SpaceSpec's
-    rows and row metric, or the points themselves under a callable."""
-    if isinstance(dist, SpaceSpec):
-        return dist.rows(points), _row_distance(dist.l1)
-    return points, dist
-
-
-def check_coarse_control(f, domain_dist, codomain_dist,
+def check_coarse_control(f, domain: SpaceSpec,
+                         codomain: SpaceSpec | None = None,
                          w: Window | None = None, *,
                          points: Sequence | None = None,
                          lower: ControlFn | None = None,
@@ -637,9 +633,10 @@ def check_coarse_control(f, domain_dist, codomain_dist,
     pairs; reports violating pairs and the largest observed additive stretch
     d(f(x), f(y)) - d(x, y).
 
-    `domain_dist` and `codomain_dist` are SpaceSpecs (each measures its
-    side on rows computed once) or distance callables; windows can only be
-    enumerated from a SpaceSpec domain, otherwise pass `points` explicitly.
+    Each side is measured on rows computed once: the points on
+    `domain.rows`, the images on `codomain.rows`, or, with no codomain, the
+    images themselves as integer rows under l-infinity.  The points are the
+    window's, or the explicit `points` list.
     """
     if isinstance(f, MapSpec):
         fn = lambda p: evaluate_map(f, p)  # noqa: E731
@@ -650,13 +647,14 @@ def check_coarse_control(f, domain_dist, codomain_dist,
         lower = IDENTITY if lower is None else lower
         upper = IDENTITY if upper is None else upper
     if points is None:
-        if w is None or not isinstance(domain_dist, SpaceSpec):
-            raise VerifyError("need a window over a SpaceSpec domain or an "
-                              "explicit point list")
-        points = list(iter_window(domain_dist, w))
+        if w is None:
+            raise VerifyError("need a window or an explicit point list")
+        points = list(iter_window(domain, w))
     images = [fn(p) for p in points]
-    xs, d_dom = _measured(domain_dist, points)
-    ys, d_cod = _measured(codomain_dist, images)
+    xs = domain.rows(points)
+    ys = images if codomain is None else codomain.rows(images)
+    d_dom = _row_distance(domain.l1)
+    d_cod = _row_distance(codomain is not None and codomain.l1)
     violations = []
     stretch: int | None = None
     pairs = 0
@@ -696,18 +694,6 @@ class OracleOutcome:
             "assignment": ([[x, c, g] for x, c, g in self.assignment]
                            if self.assignment is not None else None),
         }
-
-    @classmethod
-    def from_json(cls, body: dict) -> "OracleOutcome":
-        assignment = body.get("assignment")
-        return cls(
-            status=body["status"],
-            assignment=([tuple(row) for row in assignment]
-                        if assignment is not None else None),
-            nodes_explored=body["nodes_explored"],
-            window=tuple(body["window"]),
-            params=dict(body["params"]),
-        )
 
 
 def oracle_1d_nocover(n: int, R: int, colors: int,

@@ -17,6 +17,7 @@ from coarselab.cli import (
     parse_space,
     run_experiment,
 )
+from coarselab.spaces import SpaceSpec
 
 
 def run_cli(tmp_path, command, config, extra=()):
@@ -472,6 +473,19 @@ def test_satunion_with_tower_point_literals(tmp_path):
     assert sizes == [1, 2]
 
 
+def test_satunion_with_mixed_dimension_points_exits_two(tmp_path):
+    # a 1-D point and a 2-D point have no distance: not an absorption
+    config = {
+        "V": {"cells": [{"key": ["v"], "points": [[0], [1, 1]]}]},
+        "U": {"cells": [{"key": ["u"], "points": [[2]]}]},
+        "r": 1,
+    }
+    status, report = run_cli(tmp_path, "satunion", config)
+    assert status == 2
+    assert report["status"] == "error"
+    assert "one dimension" in report["report"]["message"]
+
+
 def test_version_has_one_source(tmp_path):
     tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
     pyproject = tomllib.loads(
@@ -484,9 +498,19 @@ def test_version_has_one_source(tmp_path):
     assert report["version"] == coarselab.__version__
 
 
+BUILT_SPACES = {
+    "tower": SpaceSpec.tower("identity"),
+    "tower-with-factor": SpaceSpec.tower_with_factor("identity", 1),
+    "product-of-towers": SpaceSpec.product_of_towers("identity"),
+    "shift-union": SpaceSpec.shift_union(),
+    "plain-lattice": SpaceSpec.lattice((1, 2)),
+}
+
+
 @pytest.mark.parametrize("kind", sorted(SPACE_BUILDERS))
 def test_parse_space_builds_each_kind(kind):
-    assert parse_space({"kind": kind, "axis_steps": [1, 2]}).kind == kind
+    built = parse_space({"kind": kind, "axis_steps": [1, 2]})
+    assert built == BUILT_SPACES[kind]
 
 
 def test_parse_space_rejects_an_unknown_kind():

@@ -32,7 +32,6 @@ from coarselab.spaces import (
     SpaceSpec,
     TowerPoint,
     Window,
-    enumerate_window,
     evaluate_map,
     lattice_max_distance,
     space_distance,
@@ -102,7 +101,7 @@ def test_singleton_cover_threshold():
 
 def test_singleton_separation_exceeds_threshold():
     spec = SpaceSpec.tower("identity")
-    pts = enumerate_window(spec, Window.make(levels=(4, 4), box=(-8, 8)))
+    pts = list(spec.iter(Window.make(levels=(4, 4), box=(-8, 8))))
     d = min(tower_distance(a, b) for a in pts for b in pts if a != b)
     assert d == 4  # level-4 coordinates move in steps of 4
     a = TowerPoint(4, (0,) * 4)
@@ -311,7 +310,7 @@ def test_product_square_color_count_depends_on_k_only():
 def test_product_square_regions_partition():
     scheme = product_square_cover(1, 3)
     spec = SpaceSpec.product_of_towers("pow2")
-    pts = enumerate_window(spec, Window.make(levels=(1, 4), box=(-4, 4)))
+    pts = list(spec.iter(Window.make(levels=(1, 4), box=(-4, 4))))
     for p in pts:
         res = scheme.classify(p)
         assert res is not None
@@ -330,8 +329,7 @@ def test_product_square_high_pairs_are_merged_singletons():
 def test_product_square_high_pairs_pairwise_distance():
     scheme = product_square_cover(1, 3)
     spec = SpaceSpec.product_of_towers("pow2")
-    pts = [p for p in enumerate_window(spec,
-                                       Window.make(levels=(2, 3), box=(-8, 8)))]
+    pts = list(spec.iter(Window.make(levels=(2, 3), box=(-8, 8))))
     singles = [p for p in pts if scheme.classify(p)[1][0] == 1]
     # the product metric is the max of the two factor distances, so the
     # all-pairs minimum only needs a table over the distinct factor points
@@ -445,7 +443,7 @@ def test_pullback_through_isometry_keeps_separation():
     spec = SpaceSpec.tower_with_factor("pow2", 1)
     w = Window.make(levels=(1, 3), box=(-8, 8))
     rep_tower = verify_cover(pulled, spec, w)
-    pts = enumerate_window(spec, w)
+    pts = list(spec.iter(w))
     images = sorted(set(evaluate_map(phi, p) for p in pts))
     direct: dict = {}
     for im in images:
@@ -494,7 +492,23 @@ def test_set_distance_merge_path_matches_naive():
         A = [(rng.randint(-40, 40),) for _ in range(rng.randint(1, 12))]
         B = [(rng.randint(-40, 40),) for _ in range(rng.randint(1, 12))]
         naive = min(abs(a[0] - b[0]) for a in A for b in B)
-        assert set_distance(A, B, lattice_max_distance) == naive
+        assert set_distance(A, B) == naive
+    # tower and shift-union points against the all-pairs space distance;
+    # empty-support shift points have one-column rows, measured by the merge
+    tower = SpaceSpec.tower("identity")
+    shift = SpaceSpec.shift_union()
+    pools = [
+        (tower, list(tower.iter(Window.make(levels=(1, 3), box=(-3, 3))))),
+        (shift, list(shift.iter(Window.make(levels=(0, 2), box=(-3, 3),
+                                            max_support=2)))),
+        (shift, [ShiftPoint(level, ()) for level in range(0, 41)]),
+    ]
+    for spec, pool in pools:
+        for _ in range(30):
+            A = rng.sample(pool, rng.randint(1, 8))
+            B = rng.sample(pool, rng.randint(1, 8))
+            naive = min(space_distance(spec, a, b) for a in A for b in B)
+            assert set_distance(A, B, spec) == naive
 
 
 def test_saturated_union_absorbs_close_and_keeps_far():
@@ -543,4 +557,4 @@ def test_saturated_union_bound_conclusion_exact():
         sets = [sorted(pts) for _, pts in out.cells]
         assert all(pts[-1][0] - pts[0][0] <= D + 2 * R + 2 * r for pts in sets)
         for a, b in itertools.combinations(sets, 2):
-            assert set_distance(a, b, lattice_max_distance) >= r
+            assert set_distance(a, b) >= r

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarselab.spaces import (
+    ProductSpace,
     ShiftPoint,
     SpaceError,
     SpaceSpec,
     TowerPoint,
-    l1_distance,
     lattice_max_distance,
     shift_distance,
     space_distance,
@@ -32,12 +32,23 @@ SHIFT_POINTS = st.builds(
     st.dictionaries(st.integers(0, 6), st.integers(-5, 5), max_size=4),
     st.integers(0, 3))
 
+# points of SpaceSpec.lattice((1, 2, 3))
+LATTICE_POINTS = st.tuples(COORD, st.integers(-4, 4).map(lambda v: 2 * v),
+                           st.integers(-3, 3).map(lambda v: 3 * v))
+
+# product factors: (space, point strategy, reference distance)
+FACTORS = {
+    "tower": (SpaceSpec.tower("identity"), tower_points(0), tower_distance),
+    "lattice": (SpaceSpec.lattice((1, 2, 3)), LATTICE_POINTS,
+                lattice_max_distance),
+}
+
 
 def row_metric(spec, p, q, others):
     """The metric of the first two rows of one `rows` call that also pads
     for `others`, as the pointwise path pads for a whole window."""
     a, b = spec.rows([p, q, *others])[:2]
-    return l1_distance(a, b) if spec.l1 else lattice_max_distance(a, b)
+    return spec.row_metric(a, b)
 
 
 @settings(max_examples=200, deadline=None)
@@ -51,16 +62,27 @@ def test_tower_rows_measure_tower_distance(data, extra_dim):
     assert space_distance(spec, p, q) == tower_distance(p, q)
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_product_rows_measure_the_larger_factor_distance(data):
-    spec = SpaceSpec.product_of_towers("identity")
-    pairs = st.tuples(tower_points(0), tower_points(0))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), kinds=st.sampled_from(
+    [("tower", "tower"), ("lattice", "lattice"), ("tower", "lattice")]))
+def test_product_rows_measure_the_larger_factor_distance(data, kinds):
+    (first, first_points, d_first), (second, second_points, d_second) = (
+        FACTORS[kind] for kind in kinds)
+    spec = ProductSpace(first, second)
+    pairs = st.tuples(first_points, second_points)
     p, q = data.draw(pairs), data.draw(pairs)
     others = data.draw(st.lists(pairs, max_size=3))
-    expected = max(tower_distance(p[0], q[0]), tower_distance(p[1], q[1]))
+    expected = max(d_first(p[0], q[0]), d_second(p[1], q[1]))
     assert row_metric(spec, p, q, others) == expected
     assert space_distance(spec, p, q) == expected
+
+
+def test_product_refuses_an_l1_factor():
+    lattice = SpaceSpec.lattice((1, 2, 3))
+    for factors in ((SpaceSpec.shift_union(), lattice),
+                    (lattice, SpaceSpec.shift_union())):
+        with pytest.raises(SpaceError, match="l-infinity"):
+            ProductSpace(*factors)
 
 
 @settings(max_examples=200, deadline=None)

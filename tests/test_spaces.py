@@ -13,7 +13,6 @@ from coarselab.spaces import (
     TowerPoint,
     Window,
     WindowError,
-    enumerate_window,
     evaluate_map,
     lattice_max_distance,
     level_penalty,
@@ -22,7 +21,6 @@ from coarselab.spaces import (
     shift_distance,
     space_distance,
     tower_distance,
-    window_size,
 )
 
 
@@ -84,7 +82,7 @@ def test_level_penalty_closed_form():
 def test_equal_level_distance_is_plain_max_metric():
     spec = SpaceSpec.tower_with_factor("identity", 2)
     w = Window.make(levels=(2, 2), box=(-4, 4))
-    pts = enumerate_window(spec, w)
+    pts = list(spec.iter(w))
     for p in pts[::7]:
         for q in pts[::5]:
             expected = lattice_max_distance(p.coords + p.extra,
@@ -96,7 +94,7 @@ def test_tower_metric_axioms_on_window_sample():
     rng = random.Random(7)
     for step in ("identity", "pow2"):
         spec = SpaceSpec.tower(step)
-        pts = enumerate_window(spec, Window.make(levels=(1, 3), box=(-8, 8)))
+        pts = list(spec.iter(Window.make(levels=(1, 3), box=(-8, 8))))
         for _ in range(300):
             p, q, s = (rng.choice(pts) for _ in range(3))
             assert tower_distance(p, p) == 0
@@ -131,8 +129,8 @@ def test_shift_distance_sums_support_differences():
 def test_shift_metric_axioms_on_window_sample():
     rng = random.Random(11)
     spec = SpaceSpec.shift_union()
-    pts = enumerate_window(spec, Window.make(levels=(0, 2), box=(-4, 4),
-                                             max_support=3))
+    pts = list(spec.iter(Window.make(levels=(0, 2), box=(-4, 4),
+                                     max_support=3)))
     for _ in range(300):
         p, q, s = (rng.choice(pts) for _ in range(3))
         assert shift_distance(p, q) == shift_distance(q, p)
@@ -161,20 +159,20 @@ def test_multiples_in():
 
 def test_enumerate_level_one_identity_tower():
     spec = SpaceSpec.tower("identity")
-    pts = enumerate_window(spec, Window.make(levels=(1, 1), box=(-2, 2)))
+    pts = list(spec.iter(Window.make(levels=(1, 1), box=(-2, 2))))
     assert [p.coords for p in pts] == [(-2,), (-1,), (0,), (1,), (2,)]
 
 
 def test_enumerate_doubling_tower_level_two():
     spec = SpaceSpec.tower("pow2")
-    pts = enumerate_window(spec, Window.make(levels=(2, 2), box=(-4, 4)))
+    pts = list(spec.iter(Window.make(levels=(2, 2), box=(-4, 4))))
     assert len(pts) == 9  # coords from {-4, 0, 4}^2
 
 
 def test_enumerate_shift_window():
     spec = SpaceSpec.shift_union()
-    pts = enumerate_window(spec, Window.make(levels=(0, 0), box=(-2, 2),
-                                             max_support=1))
+    pts = list(spec.iter(Window.make(levels=(0, 0), box=(-2, 2),
+                                     max_support=1)))
     assert len(pts) == 15  # x0 free in [-2,2], x1 in 2Z
 
 
@@ -194,7 +192,7 @@ def test_enumeration_is_sorted_and_duplicate_free():
          Window.make(levels=(0, 2), box=(-3, 3), max_support=3)),
         (SpaceSpec.lattice((1, 3)), Window.make(box=((-5, 5), (-6, 6)))),
     ):
-        pts = enumerate_window(spec, w)
+        pts = list(spec.iter(w))
         keys = [lex_key(spec, p) for p in pts]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
@@ -212,23 +210,23 @@ def test_enumeration_matches_window_size():
          Window.make(levels=(1, 2), box=(-4, 4))),
     )
     for spec, w in cases:
-        assert window_size(spec, w) == len(enumerate_window(spec, w))
+        assert spec.size(w) == len(list(spec.iter(w)))
 
 
 def test_axis_boxes_pin_individual_axes():
     spec = SpaceSpec.lattice((1, 1, 1))
     w = Window.make(box=(-2, 2), axis_boxes={1: (0, 0)})
-    pts = enumerate_window(spec, w)
+    pts = list(spec.iter(w))
     assert all(p[1] == 0 for p in pts)
     assert len(pts) == 25
 
 
 def test_unbounded_window_is_an_error():
     with pytest.raises(WindowError):
-        enumerate_window(SpaceSpec.tower("identity"), Window.make(box=(-2, 2)))
+        list(SpaceSpec.tower("identity").iter(Window.make(box=(-2, 2))))
     with pytest.raises(WindowError):
-        enumerate_window(SpaceSpec.shift_union(),
-                         Window.make(levels=(0, 1), box=(-2, 2)))
+        list(SpaceSpec.shift_union().iter(
+            Window.make(levels=(0, 1), box=(-2, 2))))
     with pytest.raises(WindowError):
         Window.make(box=(3, -3))
 
@@ -260,7 +258,7 @@ def test_phi_tower_rejects_high_levels():
 
 def test_phi_tower_is_isometric_on_window():
     spec = SpaceSpec.tower_with_factor("pow2", 1)
-    pts = enumerate_window(spec, Window.make(levels=(1, 3), box=(-8, 8)))
+    pts = list(spec.iter(Window.make(levels=(1, 3), box=(-8, 8))))
     phi = MapSpec.make("phi-tower", {"n": 3})
     images = [evaluate_map(phi, p) for p in pts]
     for i in range(0, len(pts), 17):
@@ -274,7 +272,7 @@ def test_psi_staircase_domain_and_isometry():
     spec = SpaceSpec.tower_with_factor("pow2", 1)
     with pytest.raises(SpaceError):
         evaluate_map(psi, TowerPoint(1, (2,), (0,)))
-    pts = enumerate_window(spec, Window.make(levels=(2, 3), box=(-8, 8)))
+    pts = list(spec.iter(Window.make(levels=(2, 3), box=(-8, 8))))
     images = [evaluate_map(psi, p) for p in pts]
     assert all(len(im) == 5 for im in images)  # r coords + line + height
     for i in range(0, len(pts), 7):

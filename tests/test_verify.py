@@ -29,7 +29,6 @@ from coarselab.spaces import (
     SpaceSpec,
     Window,
     iter_window,
-    lattice_max_distance,
     space_distance,
 )
 from coarselab.verify import (
@@ -404,8 +403,8 @@ def test_identity_map_has_no_violations():
 def test_phi_tower_isometry_control():
     phi = MapSpec.make("phi-tower", {"n": 3})
     spec = SpaceSpec.tower_with_factor("pow2", 1)
-    report = check_coarse_control(phi, spec, lattice_max_distance,
-                                  Window.make(levels=(1, 3), box=(-4, 4)))
+    report = check_coarse_control(phi, spec,
+                                  w=Window.make(levels=(1, 3), box=(-4, 4)))
     assert report.passed
     assert report.max_observed_stretch == 0
 
@@ -428,7 +427,7 @@ def test_delta_witness_control_bounds():
     delta = MapSpec.make("delta-witness", table=res.delta_table(),
                          lower=IDENTITY, upper=ControlFn("plus-const", 10))
     report = check_coarse_control(delta, SpaceSpec.lattice((5,)),
-                                  lattice_max_distance, points=fibers)
+                                  points=fibers)
     assert report.passed
     assert report.max_observed_stretch <= 10
 
@@ -649,12 +648,11 @@ def test_auto_refuses_a_long_non_unit_moving_axis(t_hi):
 
 def test_oracle_outcome_round_trips_through_json():
     import json as _json
-    from coarselab.verify import OracleOutcome
     out = oracle_1d_nocover(2, 6, 1, (0, 5))
-    reloaded = OracleOutcome.from_json(_json.loads(_json.dumps(out.to_json())))
-    assert reloaded.status == out.status
-    assert reloaded.assignment == out.assignment
-    rep = verify_cover(assignment_scheme(reloaded, 2, 6, 1),
+    body = _json.loads(_json.dumps(out.to_json()))
+    assert body["status"] == out.status
+    assert body["assignment"] == [list(row) for row in out.assignment]
+    rep = verify_cover(assignment_scheme(out, 2, 6, 1),
                        SpaceSpec.lattice((1,)), Window.make(box=((0, 5),)))
     assert rep.passed
 
