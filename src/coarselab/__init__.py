@@ -13,8 +13,6 @@ from .covers import (
     mixed_grid_cover,
     omega_cover,
     product_square_cover,
-    pullback_scheme,
-    restrict_scheme,
     saturated_union,
     shift_union_cover,
     singleton_cover,

@@ -154,12 +154,6 @@ def _as_key(value):
     return value
 
 
-def _key_json(value):
-    if isinstance(value, tuple):
-        return [_key_json(v) for v in value]
-    return value
-
-
 def parse_point(value):
     """Point literal: a list of ints is a lattice point; a dict with coords
     is a tower point; a dict with a support map is a shift point."""
@@ -326,7 +320,7 @@ def run_satunion(cfg: dict, limits: dict) -> tuple[int, dict]:
     body = {
         "status": "ok",
         "cells": [
-            {"key": _key_json(k),
+            {"key": k,
              "points": [point_to_json(p) for p in sorted(pts, key=point_order)]}
             for k, pts in out.cells
         ],

@@ -55,7 +55,6 @@ class CoverScheme:
     colors: int
     declared_separation: dict[int, int]
     declared_bound: dict[int, int]
-    domain_note: str
     moving_axis: int | None = None
     fiber_runs: Callable | None = field(default=None, compare=False)
 
@@ -182,7 +181,6 @@ def grid_cover(dim: int, gap: int) -> CoverScheme:
         return CoverScheme(
             classify=classify_zero, colors=1,
             declared_separation={0: gap}, declared_bound={0: 1},
-            domain_note="the one-point lattice Z^0",
         )
 
     def classify(p) -> "tuple[int, CellKey] | None":
@@ -201,7 +199,6 @@ def grid_cover(dim: int, gap: int) -> CoverScheme:
         colors=2 ** dim,
         declared_separation={c: gap for c in range(2 ** dim)},
         declared_bound={c: max(1, gap - 1) for c in range(2 ** dim)},
-        domain_note=f"Z^{dim} tiled by width-{gap} half-open boxes",
     )
 
 
@@ -223,7 +220,6 @@ def spaced_interval_cover(size: int, sep: int, offset: int = 0) -> CoverScheme:
         classify=classify, colors=1,
         declared_separation={0: sep},
         declared_bound={0: max(1, size - 1)},
-        domain_note=f"1-D blocks of {size} points every {period}",
     )
 
 
@@ -250,7 +246,6 @@ def singleton_cover(spec: SpaceSpec, threshold: int) -> CoverScheme:
         classify=classify, colors=1,
         declared_separation={0: threshold + 1},
         declared_bound={0: 1},
-        domain_note=f"singletons of tower levels > {threshold}",
     )
 
 
@@ -279,8 +274,6 @@ def fiber_product_cover(base: CoverScheme, threshold: int) -> CoverScheme:
             for c, r in base.declared_separation.items()
         },
         declared_bound=dict(base.declared_bound),
-        domain_note=(f"level>{threshold} tower fibers crossed with: "
-                     f"{base.domain_note}"),
     )
 
 
@@ -404,8 +397,6 @@ def staircase_cover(n: int, r: int, dim: int | None = None,
         declared_separation={LONG_COLOR: n, SHORT_COLOR: r},
         declared_bound={LONG_COLOR: max(period - n, h_extent),
                         SHORT_COLOR: max(n, h_extent)},
-        domain_note=(f"({step}Z)^{dim} x Z x [{h_lo},{h_hi}] staircase, "
-                     f"period {period}"),
         moving_axis=dim,
         fiber_runs=fiber_runs,
     )
@@ -470,8 +461,6 @@ def omega_cover(n: int, r: int) -> CoverScheme:
     return CoverScheme(
         classify=classify, colors=colors,
         declared_separation=separation, declared_bound=bound,
-        domain_note=(f"doubling tower x Z: line intervals above level {r}, "
-                     f"flattened grid up to level {n}, staircase between"),
     )
 
 
@@ -517,8 +506,6 @@ def mixed_grid_cover(m: int, n: int, k: int, R: int) -> CoverScheme:
     return CoverScheme(
         classify=classify, colors=colors,
         declared_separation=separation, declared_bound=bound,
-        domain_note=(f"Z^{m} x ({k}Z)^{n}: offset bands of period {period} "
-                     f"with width-{k} separators"),
     )
 
 
@@ -573,19 +560,15 @@ def product_square_cover(k: int, n: int) -> CoverScheme:
         if i > n and j <= k:
             c, cell = grid_one.classify(evaluate_map(phi, b))
             return (base_high_low + c, (cell, a.key()))
+        # mixed regions: flatten the mid-level factor and cross it with the
+        # low factor's image
         if i <= k:
-            coords, height = flatten_mid(b)
-            image = evaluate_map(phi, a) + (height,) + coords
-            c, cell = mixed.classify(image)
-            if c == 0:
-                return (0, (5, cell))
-            return (base_mix_a + c - 1, (5, cell))
-        coords, height = flatten_mid(a)
-        image = evaluate_map(phi, b) + (height,) + coords
-        c, cell = mixed.classify(image)
-        if c == 0:
-            return (0, (6, cell))
-        return (base_mix_b + c - 1, (6, cell))
+            low, high, tag, base = a, b, 5, base_mix_a
+        else:
+            low, high, tag, base = b, a, 6, base_mix_b
+        coords, height = flatten_mid(high)
+        c, cell = mixed.classify(evaluate_map(phi, low) + (height,) + coords)
+        return (base + c - 1 if c else 0, (tag, cell))
 
     separation = {0: k}
     bound = {0: max(mixed.declared_bound[0], 1)}
@@ -606,8 +589,6 @@ def product_square_cover(k: int, n: int) -> CoverScheme:
     return CoverScheme(
         classify=classify, colors=colors,
         declared_separation=separation, declared_bound=bound,
-        domain_note=(f"square of the doubling tower, six level regions "
-                     f"split at {k} and {n}"),
     )
 
 
@@ -666,50 +647,6 @@ def shift_union_cover(k: int, m: int) -> CoverScheme:
     return CoverScheme(
         classify=classify, colors=colors,
         declared_separation=separation, declared_bound=bound,
-        domain_note=(f"shift union in blocks of {2 * k} levels, offset bands "
-                     f"of period {multiplier * s_unit}"),
-    )
-
-
-# ---------------------------------------------------------------------------
-# combinators
-# ---------------------------------------------------------------------------
-
-def restrict_scheme(s: CoverScheme, region: Callable[[object], bool],
-                    note: str = "restricted") -> CoverScheme:
-    """Classify as `s` inside `region`, uncovered outside; separations and
-    bounds are inherited (restriction can only thin cells out)."""
-    def classify(p) -> "tuple[int, CellKey] | None":
-        if not region(p):
-            return None
-        return s.classify(p)
-
-    return CoverScheme(
-        classify=classify, colors=s.colors,
-        declared_separation=dict(s.declared_separation),
-        declared_bound=dict(s.declared_bound),
-        domain_note=f"{s.domain_note} ({note})",
-    )
-
-
-def pullback_scheme(s: CoverScheme, f: "MapSpec | Callable",
-                    note: str = "pulled back") -> CoverScheme:
-    """Classify a point by classifying its image: cells are preimages and
-    keep their keys.  Domain errors of a partial map surface through
-    classification and are reported, not swallowed."""
-    if isinstance(f, MapSpec):
-        fn = lambda p: evaluate_map(f, p)  # noqa: E731
-    else:
-        fn = f
-
-    def classify(p) -> "tuple[int, CellKey] | None":
-        return s.classify(fn(p))
-
-    return CoverScheme(
-        classify=classify, colors=s.colors,
-        declared_separation=dict(s.declared_separation),
-        declared_bound=dict(s.declared_bound),
-        domain_note=f"{s.domain_note} ({note})",
     )
 
 
@@ -749,9 +686,6 @@ class FiniteFamily:
         for _, pts in self.cells:
             out |= pts
         return frozenset(out)
-
-    def as_dict(self) -> dict:
-        return {key: pts for key, pts in self.cells}
 
     def __len__(self) -> int:
         return len(self.cells)

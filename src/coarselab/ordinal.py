@@ -33,10 +33,6 @@ class FinFamily:
     def of(cls, sets: Iterable[Iterable[int]]) -> "FinFamily":
         return cls(frozenset(frozenset(s) for s in sets))
 
-    @classmethod
-    def empty(cls) -> "FinFamily":
-        return cls(frozenset())
-
     def support(self) -> frozenset[int]:
         """Union of all members."""
         out: set[int] = set()

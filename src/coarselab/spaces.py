@@ -128,8 +128,6 @@ class ShiftPoint:
 
 # Lattice points are plain tuples of ints; product points are pairs of factor
 # points.
-Point = object
-
 
 # ---------------------------------------------------------------------------
 # windows
@@ -395,6 +393,8 @@ class TowerSpace(SpaceSpec):
                 yield TowerPoint(level, combo[:level], combo[level:])
 
     def rows(self, points: Sequence[TowerPoint]) -> list[tuple[int, ...]]:
+        if not all(isinstance(p, TowerPoint) for p in points):
+            raise SpaceError("tower rows need TowerPoints")
         if len({len(p.extra) for p in points}) > 1:
             raise SpaceError("mismatched extra-block dimensions")
         top = max((p.level for p in points), default=1)
@@ -463,6 +463,8 @@ class ShiftUnionSpace(SpaceSpec):
                     (i, v) for i, v in enumerate(combo, level) if v != 0))
 
     def rows(self, points: Sequence[ShiftPoint]) -> list[tuple[int, ...]]:
+        if not all(isinstance(p, ShiftPoint) for p in points):
+            raise SpaceError("shift-union rows need ShiftPoints")
         indices = sorted({i for p in points for i, _ in p.support})
         column = {i: c for c, i in enumerate(indices, 1)}
         out = []

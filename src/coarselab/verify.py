@@ -29,9 +29,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .covers import CoverScheme
-from .spaces import (  # noqa: F401  (space_distance is kept bound)
-    ControlFn,
-    IDENTITY,
+from .spaces import space_distance  # noqa: F401  (kept bound, see below)
+from .spaces import (
     LatticeSpace,
     MapSpec,
     ShiftPoint,
@@ -45,7 +44,6 @@ from .spaces import (  # noqa: F401  (space_distance is kept bound)
     lattice_max_distance,
     multiples_in,
     sorted_min_gap,
-    space_distance,
 )
 
 # bench/tracing.py replaces `iter_window`, `lattice_max_distance` and
@@ -622,35 +620,25 @@ class ControlReport:
         }
 
 
-def check_coarse_control(f, domain: SpaceSpec,
+def check_coarse_control(m: MapSpec, domain: SpaceSpec,
                          codomain: SpaceSpec | None = None,
                          w: Window | None = None, *,
-                         points: Sequence | None = None,
-                         lower: ControlFn | None = None,
-                         upper: ControlFn | None = None,
-                         max_violations: int = 100) -> ControlReport:
-    """Check lower(d(x,y)) <= d(f(x), f(y)) <= upper(d(x,y)) over all window
-    pairs; reports violating pairs and the largest observed additive stretch
-    d(f(x), f(y)) - d(x, y).
+                         points: Sequence | None = None) -> ControlReport:
+    """Check m.lower(d(x,y)) <= d(m(x), m(y)) <= m.upper(d(x,y)) over all
+    window pairs; reports the first 100 violating pairs and the largest
+    observed additive stretch d(m(x), m(y)) - d(x, y).
 
     Each side is measured on rows computed once: the points on
     `domain.rows`, the images on `codomain.rows`, or, with no codomain, the
     images themselves as integer rows under l-infinity.  The points are the
     window's, or the explicit `points` list.
     """
-    if isinstance(f, MapSpec):
-        fn = lambda p: evaluate_map(f, p)  # noqa: E731
-        lower = f.lower if lower is None else lower
-        upper = f.upper if upper is None else upper
-    else:
-        fn = f
-        lower = IDENTITY if lower is None else lower
-        upper = IDENTITY if upper is None else upper
+    lower, upper = m.lower, m.upper
     if points is None:
         if w is None:
             raise VerifyError("need a window or an explicit point list")
         points = list(iter_window(domain, w))
-    images = [fn(p) for p in points]
+    images = [evaluate_map(m, p) for p in points]
     xs = domain.rows(points)
     ys = images if codomain is None else codomain.rows(images)
     d_dom = _row_distance(domain.l1)
@@ -667,7 +655,7 @@ def check_coarse_control(f, domain: SpaceSpec,
             if stretch is None or s > stretch:
                 stretch = s
             if not (lower(dx) <= dy <= upper(dx)):
-                if len(violations) < max_violations:
+                if len(violations) < 100:
                     violations.append((points[i], points[j], dx, dy))
     return ControlReport(pairs_checked=pairs, violations=violations,
                          max_observed_stretch=stretch)
@@ -804,5 +792,4 @@ def assignment_scheme(outcome: OracleOutcome, n: int, R: int,
         classify=classify, colors=colors,
         declared_separation={c: n for c in range(colors)},
         declared_bound={c: R for c in range(colors)},
-        domain_note="materialized oracle assignment",
     )

@@ -486,6 +486,27 @@ def test_satunion_with_mixed_dimension_points_exits_two(tmp_path):
     assert "one dimension" in report["report"]["message"]
 
 
+@pytest.mark.parametrize("command, config, message", [
+    # lattice point literals in a tower space
+    ("satunion", {"space": {"kind": "tower"},
+                  "V": {"cells": [{"key": ["v"], "points": [[0]]}]},
+                  "U": {"cells": [{"key": ["u"], "points": [[2]]}]},
+                  "r": 1},
+     "tower rows need TowerPoints"),
+    # phi-tower's images are lattice tuples, not shift points
+    ("control", {"map": {"name": "phi-tower", "params": {"n": 2}},
+                 "domain": {"kind": "tower", "step": "pow2"},
+                 "codomain": {"kind": "shift-union"},
+                 "window": {"levels": [1, 2], "box": [-2, 2]}},
+     "shift-union rows need ShiftPoints"),
+])
+def test_points_of_another_kind_exit_two(tmp_path, command, config, message):
+    status, report = run_cli(tmp_path, command, config)
+    assert status == 2
+    assert report["status"] == "error"
+    assert report["report"]["message"] == f"SpaceError: {message}"
+
+
 def test_version_has_one_source(tmp_path):
     tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
     pyproject = tomllib.loads(

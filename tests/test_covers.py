@@ -1,5 +1,5 @@
 """Cover constructions: classification examples, declared parameters,
-tilings, combinators and the saturated union."""
+tilings and the saturated union."""
 
 import itertools
 import random
@@ -17,8 +17,6 @@ from coarselab.covers import (
     mixed_grid_cover,
     omega_cover,
     product_square_cover,
-    pullback_scheme,
-    restrict_scheme,
     saturated_union,
     set_distance,
     shift_union_cover,
@@ -26,14 +24,11 @@ from coarselab.covers import (
     staircase_cover,
 )
 from coarselab.spaces import (
-    MapSpec,
     ShiftPoint,
     SpaceError,
     SpaceSpec,
     TowerPoint,
     Window,
-    evaluate_map,
-    lattice_max_distance,
     space_distance,
     tower_distance,
 )
@@ -393,80 +388,6 @@ def test_shift_union_tail_assignment_in_cell_key():
     assert c0 == c1
     assert cell0 != cell1
     assert cell1[-1] == ((9, 10),)
-
-
-# ---------------------------------------------------------------------------
-# combinators
-# ---------------------------------------------------------------------------
-
-def test_restrict_to_everything_is_identity():
-    g = grid_cover(1, 5)
-    r = restrict_scheme(g, lambda p: True)
-    for x in range(-20, 21):
-        assert r.classify((x,)) == g.classify((x,))
-
-
-def test_restrict_blanks_points_outside_region():
-    g = grid_cover(1, 5)
-    r = restrict_scheme(g, lambda p: p[0] >= 0)
-    assert r.classify((-3,)) is None
-    assert r.classify((3,)) == g.classify((3,))
-
-
-def test_restriction_never_shrinks_separation():
-    from coarselab.verify import verify_cover
-    spec = SpaceSpec.lattice((1,))
-    w = Window.make(box=((-50, 50),))
-    g = grid_cover(1, 5)
-    r = restrict_scheme(g, lambda p: p[0] >= 0)
-    before = verify_cover(g, spec, w)
-    after = verify_cover(r, spec, w)
-    for rec_b, rec_a in zip(before.per_color, after.per_color):
-        if rec_a.min_cross_cell_separation is not None:
-            assert (rec_a.min_cross_cell_separation
-                    >= rec_b.min_cross_cell_separation)
-
-
-def test_pullback_by_identity_is_identity():
-    g = grid_cover(1, 5)
-    pb = pullback_scheme(g, lambda p: p)
-    for x in range(-20, 21):
-        assert pb.classify((x,)) == g.classify((x,))
-
-
-def test_pullback_through_isometry_keeps_separation():
-    from coarselab.verify import verify_cover
-    n = 3
-    grid = grid_cover(n + 2, 4)  # covers the full flattened image
-    phi = MapSpec.make("phi-tower", {"n": n})
-    pulled = pullback_scheme(grid, phi)
-    spec = SpaceSpec.tower_with_factor("pow2", 1)
-    w = Window.make(levels=(1, 3), box=(-8, 8))
-    rep_tower = verify_cover(pulled, spec, w)
-    pts = list(spec.iter(w))
-    images = sorted(set(evaluate_map(phi, p) for p in pts))
-    direct: dict = {}
-    for im in images:
-        color, key = grid.classify(im)
-        direct.setdefault(color, {}).setdefault(key, []).append(im)
-    for color, per_key in direct.items():
-        cells = list(per_key.values())
-        if len(cells) < 2:
-            continue
-        d = min(lattice_max_distance(p, q)
-                for a, b in itertools.combinations(cells, 2)
-                for p in a for q in b)
-        assert rep_tower.per_color[color].min_cross_cell_separation == d
-
-
-def test_pullback_partial_map_errors_surface():
-    from coarselab.verify import verify_cover
-    phi = MapSpec.make("phi-tower", {"n": 2})  # undefined at level 3
-    pulled = pullback_scheme(grid_cover(4, 3), phi)
-    spec = SpaceSpec.tower_with_factor("pow2", 1)
-    rep = verify_cover(pulled, spec, Window.make(levels=(1, 3), box=(-8, 8)))
-    assert rep.error_total > 0
-    assert rep.verdict == "fail"
 
 
 # ---------------------------------------------------------------------------

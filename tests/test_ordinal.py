@@ -40,7 +40,7 @@ def test_derived_family_with_empty_sigma_is_identity():
 
 
 def test_rank_of_empty_family_is_zero():
-    assert ord_rank(FinFamily.empty()) == 0
+    assert ord_rank(FinFamily.of([])) == 0
 
 
 def test_rank_of_single_singleton_is_one():

@@ -2,6 +2,7 @@
 witness search, coarse controls and the exhaustive 1-D search."""
 
 import itertools
+import json
 import tracemalloc
 
 import pytest
@@ -154,22 +155,6 @@ def test_omega_cover_verifies_over_a_tower_window():
     assert len(hit) >= 4  # every region contributes cells on this window
 
 
-def test_pullback_through_level_projection_stays_disjoint():
-    # a 1-Lipschitz map pulls an r-disjoint family back to an r-disjoint one
-    from coarselab.covers import pullback_scheme
-    from coarselab.spaces import MapSpec as _MapSpec
-    proj = _MapSpec.make("f-level-projection")
-    pulled = pullback_scheme(grid_cover(1, 3), proj)
-    spec = SpaceSpec.shift_union()
-    w = Window.make(levels=(0, 8), box=(-2, 2), max_support=2)
-    rep = verify_cover(pulled, spec, w)
-    brute, _ = brute_measure(pulled, spec, w)
-    for color, (cells_seen, diam, sep) in brute.items():
-        if sep is not None:
-            assert sep >= 3
-            assert rep.per_color[color].min_cross_cell_separation == sep
-
-
 def test_zero_point_window_passes_with_empty_colors():
     spec = SpaceSpec.lattice((5,))
     w = Window.make(box=((1, 4),))  # no multiples of 5 inside
@@ -249,7 +234,6 @@ def test_run_path_rejects_a_cell_spread_over_two_fibers():
     scheme = CoverScheme(
         classify=lambda p: (0, "shared"), colors=1,
         declared_separation={0: 1}, declared_bound={0: 10},
-        domain_note="one cell across two fibers",
         moving_axis=1, fiber_runs=fiber_runs,
     )
     spec = SpaceSpec.lattice((1, 1))
@@ -265,7 +249,6 @@ def test_both_paths_count_an_out_of_range_color_as_errors():
     scheme = CoverScheme(
         classify=lambda p: (3, p[0]), colors=1,
         declared_separation={}, declared_bound={},
-        domain_note="color out of range",
         moving_axis=1,
         fiber_runs=lambda fiber, t_lo, t_hi: [(t_lo, t_hi, 3, fiber[0])],
     )
@@ -297,7 +280,7 @@ def test_run_path_agrees_on_a_cell_of_two_runs_on_one_fiber():
     scheme = CoverScheme(
         classify=lambda p: (color_at(p[1]), (p[0], color_at(p[1]))),
         colors=2, declared_separation={0: 3, 1: 3},
-        declared_bound={0: 8, 1: 8}, domain_note="two runs per cell",
+        declared_bound={0: 8, 1: 8},
         moving_axis=1, fiber_runs=fiber_runs,
     )
     spec = SpaceSpec.lattice((3, 1))
@@ -370,8 +353,7 @@ def test_two_block_families_leave_a_witness_square():
             return (0, tuple(cells))
         return CoverScheme(classify=classify, colors=1,
                            declared_separation={0: 3},
-                           declared_bound={0: 6},
-                           domain_note=f"2-D blocks at offset {offset}")
+                           declared_bound={0: 6})
 
     box = [p for p in itertools.product(range(-6, 7), repeat=2)]
     res = find_fiber_witnesses([blocks(0), blocks(-6)],
@@ -394,7 +376,9 @@ def test_delta_table_concatenates_fiber_and_witness():
 
 def test_identity_map_has_no_violations():
     spec = SpaceSpec.lattice((1,))
-    report = check_coarse_control(lambda p: p, spec, spec,
+    identity = MapSpec.make("delta-witness",
+                            table={(x,): (x,) for x in range(-20, 21)})
+    report = check_coarse_control(identity, spec, spec,
                                   Window.make(box=((-20, 20),)))
     assert report.passed
     assert report.max_observed_stretch == 0
@@ -410,13 +394,21 @@ def test_phi_tower_isometry_control():
 
 
 def test_violations_are_reported_with_distances():
-    # doubling map against identity controls must violate the upper bound
+    # doubling map against identity controls violates the upper bound on
+    # all 210 pairs; the report keeps the first 100 and samples 20 of them
     spec = SpaceSpec.lattice((1,))
-    report = check_coarse_control(lambda p: (2 * p[0],), spec, spec,
-                                  Window.make(box=((0, 10),)))
+    double = MapSpec.make("delta-witness",
+                          table={(x,): (2 * x,) for x in range(21)})
+    report = check_coarse_control(double, spec, spec,
+                                  Window.make(box=((0, 20),)))
     assert not report.passed
     x, y, dx, dy = report.violations[0]
     assert dy == 2 * dx
+    assert report.pairs_checked == 210
+    assert len(report.violations) == 100
+    body = json.loads(json.dumps(report.to_json()))
+    assert body["violations"] == 100
+    assert len(body["violation_sample"]) == 20
 
 
 def test_delta_witness_control_bounds():
@@ -549,7 +541,6 @@ def test_engine_matches_brute_on_random_block_schemes(width, colors, salt,
         classify=classify, colors=colors,
         declared_separation={c: 1 for c in range(colors)},
         declared_bound={c: 2 * width for c in range(colors)},
-        domain_note="random block coloring",
     )
     assert_engine_matches_brute(scheme, SpaceSpec.lattice((1, 1)),
                                 Window.make(box=(-half, half)))
@@ -673,7 +664,6 @@ def _mutant(scheme, classify=None, separation=None, bound=None,
         declared_separation={**scheme.declared_separation,
                              **(separation or {})},
         declared_bound={**scheme.declared_bound, **(bound or {})},
-        domain_note="mutant of " + scheme.domain_note,
         moving_axis=scheme.moving_axis,
         fiber_runs=fiber_runs or scheme.fiber_runs,
     )
