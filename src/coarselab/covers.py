@@ -112,54 +112,66 @@ def band_interval(x: int, l: int, s_unit: int, r_off: int, gap: int,
     return "D", j0 + 1
 
 
-def _offset_bands(free: Sequence[int], scaled: Sequence[int], width: int,
-                  unit: int, gap: int, multiplier: int):
-    """Classify one point of an offset-band cover in a single pass.
+def _offset_band_classifier(n_free: int, n_scaled: int, width: int,
+                            unit: int, gap: int, multiplier: int):
+    """Build the single-pass classifier `bands(v)` of an offset-band cover.
 
-    Each scaled axis sits in the `parity_interval` tiling of width `width`;
-    its family bit i sets bit i of the offset l - 1, so l runs over
-    {1..2^len(scaled)}.  Each free axis is then located in the offset-l
+    `bands` reads the free axes v[:n_free] and the n_scaled scaled axes
+    after them.  Each scaled axis sits in the `parity_interval` tiling of
+    width `width`; its family bit i sets bit i of the offset l - 1, so l runs
+    over {1..2^n_scaled}.  Each free axis is then located in the offset-l
     tiling of `band_interval` (unit `unit`, r_off `width`, separators of
-    width `gap`).  Returns (family, l, cell, w_cell):
+    width `gap`).  Returns (family, key) with the flat key
+    (l, w..., band-or-index...):
 
-    - family 0 when every free axis sits in a long band; `cell` holds the
-      band indices;
-    - otherwise family = 2^len(free) * s + t, where s is the first free axis
-      in a separator and t - 1 is the parity pattern of the free axes;
-      `cell` holds ("D", separator index) on axis s and ("V", parity
-      index) on every other free axis.
+    - family 0 when every free axis sits in a long band; the key ends with
+      the band indices;
+    - otherwise family = 2^n_free * s + t, where s is the first free axis in
+      a separator and t - 1 is the parity pattern of the free axes; the key
+      ends with the separator index on axis s and the parity index on every
+      other free axis.
 
-    `w_cell` holds the parity indices of the scaled axes.  A width-w parity
-    interval has index (q + 1) // 2 for q = x // w, and family bit 1 exactly
-    when q is even.
+    `w...` are the parity indices of the scaled axes.  The family fixes s and
+    the parity pattern, so within one family a key names exactly one tuple
+    of (separator or parity) intervals.  A width-w parity interval has index
+    (q + 1) // 2 for q = x // w, and family bit 1 exactly when q is even.
+    The period, the band end and the axis tuples are bound once here.
     """
-    l = 1
-    w_cell = []
-    for i, x in enumerate(scaled):
-        q = x // width
-        if not q & 1:
-            l += 1 << i
-        w_cell.append((q + 1) >> 1)
     period = multiplier * unit
-    shift = width - l * unit
     long_end = period - gap
-    bands = []
-    for x in free:
-        j0, rem = divmod(x + shift, period)
-        if rem >= long_end:
-            break
-        bands.append(j0 + 1)
-    else:
-        return 0, l, tuple(bands), tuple(w_cell)
-    s = len(bands)
-    t = 1
-    cell = []
-    for i, x in enumerate(free):
-        q = x // width
-        if not q & 1:
-            t += 1 << i
-        cell.append(("D", j0 + 1) if i == s else ("V", (q + 1) >> 1))
-    return (1 << len(free)) * s + t, l, tuple(cell), tuple(w_cell)
+    free = range(n_free)
+    free_bits = tuple((i, 1 << i) for i in free)
+    scaled_bits = tuple((n_free + i, 1 << i) for i in range(n_scaled))
+    split = 1 << n_free
+
+    def bands(v) -> "tuple[int, CellKey]":
+        l = 1
+        w_cell = []
+        for i, bit in scaled_bits:
+            q = v[i] // width
+            if not q & 1:
+                l += bit
+            w_cell.append((q + 1) >> 1)
+        key = [l, *w_cell]
+        shift = width - l * unit
+        for i in free:
+            j0, rem = divmod(v[i] + shift, period)
+            if rem >= long_end:
+                break
+            key.append(j0 + 1)
+        else:
+            return 0, tuple(key)
+        s = i
+        key = [l, *w_cell]
+        t = 1
+        for i, bit in free_bits:
+            q = v[i] // width
+            if not q & 1:
+                t += bit
+            key.append(j0 + 1 if i == s else (q + 1) >> 1)
+        return split * s + t, tuple(key)
+
+    return bands
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +487,11 @@ def mixed_grid_cover(m: int, n: int, k: int, R: int) -> CoverScheme:
     The last n axes pick an interval-parity pattern, hence an offset l in
     {1..2^n}; color 0 requires every free axis to sit in the offset-l long
     band, and the fallback colors are indexed by the first separator axis and
-    the parity pattern of the free axes.  `classify` is one pass of
-    `_offset_bands` (parity width R, band unit R + k, separators of width k),
-    equal on every point to the reference tilings `parity_interval` and
-    `band_interval`.
+    the parity pattern of the free axes.  `classify` is one call of the
+    `_offset_band_classifier` built here once (parity width R, band unit
+    R + k, separators of width k), equal on every point to the reference
+    tilings `parity_interval` and `band_interval`; its cell key is the flat
+    (l, w..., band-or-index...).
     """
     if k < 1 or R < 1:
         raise CoverError("k and R must be >= 1")
@@ -488,13 +501,12 @@ def mixed_grid_cover(m: int, n: int, k: int, R: int) -> CoverScheme:
     S = R + k
     multiplier = max(1, (2 ** n) * n)
     period = multiplier * S
+    bands = _offset_band_classifier(m, n, R, S, k, multiplier)
 
     def classify(p) -> "tuple[int, CellKey] | None":
         if len(p) != m + n:
             raise SpaceError(f"mixed grid point needs {m + n} axes")
-        color, l, cell, w_cell = _offset_bands(p[:m], p[m:], R, S, k,
-                                               multiplier)
-        return (color, (l, cell, w_cell))
+        return bands(p)
 
     colors = m * 2 ** m + 1
     separation = {0: k}
@@ -604,8 +616,10 @@ def shift_union_cover(k: int, m: int) -> CoverScheme:
     offset-l long bands, and all later axes are frozen into the cell key.
     Blocks of even and odd index are merged separately, giving two k-disjoint
     colors and (6k)*2^(3k) m-disjoint colors.  Inside a block, `classify` is
-    one pass of `_offset_bands` (parity width m, band unit 2(k + m),
-    separators of width k), the classifier `mixed_grid_cover` uses too.
+    one call of an `_offset_band_classifier` (parity width m, band unit
+    2(k + m), separators of width k), the factory `mixed_grid_cover` uses
+    too.  The cell key is (block, l, w..., band-or-index..., i, v, ...),
+    ending with the (index, value) pairs of the frozen axes.
     """
     if k < 1 or m < 1:
         raise CoverError("k and m must be >= 1")
@@ -616,20 +630,21 @@ def shift_union_cover(k: int, m: int) -> CoverScheme:
     band_count = 3 * k
     per_block = band_count * 2 ** band_count
 
+    bands = _offset_band_classifier(band_count, m, m, s_unit, k, multiplier)
+
     def classify(p) -> "tuple[int, CellKey] | None":
         if not isinstance(p, ShiftPoint):
             raise SpaceError("shift_union_cover expects ShiftPoints")
         block = p.level // (2 * k)
         base = 2 * block * k
+        cut = base + band_count + m
         values = dict(p.support)
-        free = [values.get(i, 0) for i in range(base, base + band_count)]
-        scaled = [values.get(i, 0) for i in range(base + band_count,
-                                                   base + band_count + m)]
-        family, l, cell, w_cell = _offset_bands(free, scaled, m, s_unit, k,
-                                                multiplier)
-        tail = tuple((i, v) for i, v in p.support
-                     if i >= base + band_count + m)
-        return (2 * family + block % 2, (block, l, cell, w_cell, tail))
+        family, key = bands([values.get(i, 0) for i in range(base, cut)])
+        cell = [block, *key]
+        for i, v in p.support:
+            if i >= cut:
+                cell += (i, v)
+        return (2 * family + block % 2, tuple(cell))
 
     colors = 2 * per_block + 2
     level_extent = 2 * k - 1
@@ -723,13 +738,14 @@ def saturated_union(V: FiniteFamily, U: FiniteFamily, r: int,
     if r <= 0:
         raise CoverError("saturation radius must be positive")
     grown: dict[CellKey, set] = {key: set(pts) for key, pts in V.cells}
+    v_cells = [(canon_key(key), key, pts) for key, pts in V.cells]
     survivors: dict[CellKey, frozenset] = {}
     for u_key, u_pts in U.cells:
         best = None
-        for v_key, v_pts in V.cells:
+        for v_canon, v_key, v_pts in v_cells:
             d = set_distance(u_pts, v_pts, space)
-            if best is None or (d, canon_key(v_key)) < best[:2]:
-                best = (d, canon_key(v_key), v_key)
+            if best is None or (d, v_canon) < best[:2]:
+                best = (d, v_canon, v_key)
         if best is not None and best[0] <= r:
             grown[best[2]] |= u_pts
         else:

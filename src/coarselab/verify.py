@@ -235,10 +235,18 @@ def _min_separation_points(cells: list[list], boxes: list,
 
 
 def _diameter(rows: list, box, l1: bool) -> int:
+    """The widest box extent under l-infinity; under l1 the largest distance
+    of each row to the later rows, summed column by column."""
     if not l1:
         return max((hi - lo for lo, hi in box), default=0)
-    return max((l1_distance(p, q) for i, p in enumerate(rows)
-                for q in rows[i + 1:]), default=0)
+    cols = list(zip(*rows))
+    diam = 0
+    for i in range(len(rows) - 1):
+        gaps = [map(abs, map(operator.sub, col[i + 1:],
+                             itertools.repeat(col[i])))
+                for col in cols]
+        diam = max(diam, max(map(sum, zip(*gaps)), default=0))
+    return diam
 
 
 def _measure_color_points(cells: dict, l1: bool):
@@ -405,24 +413,36 @@ def _finish_report(s, w, cells, measure, uncovered, uncovered_total,
 
 
 def _verify_pointwise(s, spec, w, max_listed) -> VerificationReport:
+    """Group the window's rows by their `classify` result in one dict, then
+    split it per color.  A result is checked (None, color range) only when it
+    is first seen: a result already in the dict names a valid cell."""
     points = list(iter_window(spec, w))
-    cells: dict[int, dict] = {}
+    groups: dict[tuple, list] = {}
     uncovered: list = []
     errors: list[str] = []
+    classify = s.classify
+    colors = s.colors
     for p, row in zip(points, spec.rows(points)):
         try:
-            res = s.classify(p)
+            res = classify(p)
         except SpaceError as exc:
             errors.append(f"{p!r}: {exc}")
+            continue
+        rows = groups.get(res)
+        if rows is not None:
+            rows.append(row)
             continue
         if res is None:
             uncovered.append(p)
             continue
         color, key = res
-        if not (0 <= color < s.colors):
+        if 0 <= color < colors:
+            groups[res] = [row]
+        else:
             errors.append(f"{p!r}: color {color} out of range")
-            continue
-        cells.setdefault(color, {}).setdefault(key, []).append(row)
+    cells: dict[int, dict] = {}
+    for (color, key), rows in groups.items():
+        cells.setdefault(color, {})[key] = rows
 
     def measure(per_key: dict):
         return _measure_color_points(per_key, spec.l1)

@@ -268,7 +268,7 @@ def test_mixed_grid_separator_cells_far_apart():
 
 def test_mixed_grid_classify_pairs_offset_with_scaled_axes():
     mg = mixed_grid_cover(1, 1, 3, 5)
-    color, (l, bands, w_cell) = mg.classify((3, 0))
+    color, (l, w, *bands) = mg.classify((3, 0))
     assert color == 0        # 3 sits in the offset-l band for l=2 (w=0)
     assert l == 2
     assert band_interval(8, 2, 8, 5, 3, 2)[0] == "D"
@@ -387,7 +387,7 @@ def test_shift_union_tail_assignment_in_cell_key():
     c1, cell1 = scheme.classify(tailed)
     assert c0 == c1
     assert cell0 != cell1
-    assert cell1[-1] == ((9, 10),)
+    assert cell1 == cell0 + (9, 10)  # the flat key ends with (index, value)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from coarselab.covers import (
     SHORT_COLOR,
     CoverScheme,
-    _offset_bands,
+    _offset_band_classifier,
     fiber_product_cover,
     grid_cover,
     mixed_grid_cover,
@@ -27,6 +27,7 @@ from coarselab.spaces import (
     ControlFn,
     IDENTITY,
     MapSpec,
+    SpaceError,
     SpaceSpec,
     Window,
     iter_window,
@@ -36,6 +37,8 @@ from coarselab.verify import (
     RUN_AXIS_THRESHOLD,
     BudgetExceeded,
     VerifyError,
+    _finish_report,
+    _measure_color_points,
     assignment_scheme,
     check_coarse_control,
     find_fiber_witnesses,
@@ -583,6 +586,76 @@ def test_run_path_matches_pointwise_on_random_staircases(case):
     assert a.per_color == b.per_color
 
 
+def reference_pointwise_report(s, spec, w, max_listed):
+    """The pointwise report grouped the earlier way: every result checked on
+    every point, rows filed under {color: {key: [row, ...]}}."""
+    points = list(iter_window(spec, w))
+    cells: dict = {}
+    uncovered: list = []
+    errors: list = []
+    for p, row in zip(points, spec.rows(points)):
+        try:
+            res = s.classify(p)
+        except SpaceError as exc:
+            errors.append(f"{p!r}: {exc}")
+            continue
+        if res is None:
+            uncovered.append(p)
+            continue
+        color, key = res
+        if not (0 <= color < s.colors):
+            errors.append(f"{p!r}: color {color} out of range")
+            continue
+        cells.setdefault(color, {}).setdefault(key, []).append(row)
+    return _finish_report(
+        s, w, cells, lambda per_key: _measure_color_points(per_key, spec.l1),
+        uncovered, len(uncovered), errors, len(errors), len(points),
+        "pointwise", max_listed)
+
+
+@st.composite
+def table_schemes(draw):
+    """A lookup scheme over a small 2-D window whose points are covered,
+    uncovered (None), out of range (colors -1 and `colors`) or raise
+    SpaceError; keys repeat across colors."""
+    colors = draw(st.integers(1, 3))
+    axis_boxes = {}
+    for axis in range(2):
+        lo = draw(st.integers(-4, 4))
+        axis_boxes[axis] = (lo, lo + draw(st.integers(0, 5)))
+    w = Window.make(axis_boxes=axis_boxes)
+    spec = SpaceSpec.lattice((1, 1))
+    outcome = st.one_of(
+        st.tuples(st.integers(0, colors - 1), st.integers(0, 3)),
+        st.tuples(st.sampled_from([-1, colors]), st.integers(0, 3)),
+        st.none(), st.just("raise"))
+    table = {p: draw(outcome) for p in iter_window(spec, w)}
+
+    def classify(p):
+        res = table[p]
+        if res == "raise":
+            raise SpaceError("no cell here")
+        return res
+
+    scheme = CoverScheme(
+        classify=classify, colors=colors,
+        declared_separation={c: draw(st.integers(1, 3))
+                             for c in range(colors)},
+        declared_bound={c: draw(st.integers(1, 4)) for c in range(colors)},
+    )
+    return scheme, spec, w, draw(st.integers(1, 4))
+
+
+@settings(deadline=None, max_examples=150)
+@given(table_schemes())
+def test_pointwise_grouping_matches_the_two_level_reference(case):
+    scheme, spec, w, max_listed = case
+    got = verify_cover(scheme, spec, w, mode="pointwise",
+                       max_uncovered_listed=max_listed)
+    want = reference_pointwise_report(scheme, spec, w, max_listed)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
 def test_both_paths_record_a_fiber_outside_the_lattice_as_errors():
     # axis 0 is unit-step but the staircase scales it by 2: odd fibers raise
     # SpaceError, per point on the pointwise path and per fiber on the runs
@@ -697,12 +770,7 @@ def test_mixed_grid_narrowed_separator_fails():
     # separators of width k - 1 = 3 while color 0 still declares k = 4: the
     # long bands grow by one point, past the declared bound
     m, k, R = 2, 4, 6
-
-    def classify(p):
-        color, l, cell, w_cell = _offset_bands(p[:m], p[m:], R, R + k, k - 1,
-                                               2)
-        return (color, (l, cell, w_cell))
-
+    classify = _offset_band_classifier(m, 1, R, R + k, k - 1, 2)
     scheme = _mutant(mixed_grid_cover(m, 1, k, R), classify=classify)
     rep = verify_cover(scheme, MIXED_SPEC, MIXED_WINDOW)
     assert rep.verdict == "fail"
