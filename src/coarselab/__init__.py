@@ -22,11 +22,15 @@ from .covers import (
 from .ordinal import FinFamily, derived_family, inclusive_closure, is_inclusive, ord_rank
 from .spaces import (
     ControlFn,
+    LatticeSpace,
     MapSpec,
+    ProductSpace,
     ShiftPoint,
+    ShiftUnionSpace,
     SpaceError,
     SpaceSpec,
     TowerPoint,
+    TowerSpace,
     Window,
     WindowError,
     evaluate_map,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import covers, ordinal
 from .covers import (
@@ -26,9 +26,11 @@ from .covers import (
 from .spaces import (
     ControlFn,
     IDENTITY,
+    LatticeSpace,
     MapSpec,
     ProductSpace,
-    SpaceSpec,
+    ShiftUnionSpace,
+    TowerSpace,
     Window,
 )
 from .verify import (
@@ -55,13 +57,7 @@ class CriterionResult:
         return f"[{tag}] {self.name} ({self.seconds:.2f}s / {self.budget_seconds:.0f}s)"
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "seconds": round(self.seconds, 3),
-            "budget_seconds": self.budget_seconds,
-            "details": self.details,
-        }
+        return {**asdict(self), "seconds": round(self.seconds, 3)}
 
 
 def _timed(name: str, budget: float, fn) -> CriterionResult:
@@ -95,7 +91,7 @@ def criterion_staircase() -> CriterionResult:
                           for j in range(r)}
             axis_boxes[r] = (0, 3 * period)
             axis_boxes[r + 1] = (h[0], h[0])
-            spec = SpaceSpec.lattice((step,) * r + (1, 1))
+            spec = LatticeSpace((step,) * r + (1, 1))
             rep = verify_cover(scheme, spec, Window.make(axis_boxes=axis_boxes))
             long_rec = rep.record(LONG_COLOR)
             short_rec = rep.record(SHORT_COLOR)
@@ -137,7 +133,7 @@ def criterion_mixed_grid() -> CriterionResult:
             v_half = 3 * R
             axis_boxes = {j: (-c_half, c_half) for j in range(m)}
             axis_boxes.update({m + i: (-v_half, v_half) for i in range(n)})
-            spec = SpaceSpec.lattice((1,) * m + (k,) * n)
+            spec = LatticeSpace((1,) * m + (k,) * n)
             rep = verify_cover(scheme, spec, Window.make(axis_boxes=axis_boxes))
             zero = rep.record(0)
             others = [rep.record(c) for c in range(1, scheme.colors)]
@@ -189,7 +185,7 @@ def criterion_shift_union() -> CriterionResult:
                             max_support=tail_axis,
                             box=(0, 0),
                             axis_boxes=axis_boxes)
-            rep = verify_cover(scheme, SpaceSpec.shift_union(), w)
+            rep = verify_cover(scheme, ShiftUnionSpace(), w)
             expected_colors = (6 * k) * 2 ** (3 * k) + 2
             k_colors = [c for c, s in scheme.declared_separation.items() if s == k]
             m_colors = [c for c, s in scheme.declared_separation.items() if s == m]
@@ -231,7 +227,8 @@ def criterion_product_square() -> CriterionResult:
             scheme = product_square_cover(k, n)
             counts[n] = scheme.colors
             w = Window.make(levels=(k, k + 1), box=(-8, 8))
-            rep = verify_cover(scheme, SpaceSpec.product_of_towers("pow2"), w)
+            tower = TowerSpace("pow2")
+            rep = verify_cover(scheme, ProductSpace(tower, tower), w)
             zero = rep.record(0)
             others = [rep.record(c) for c in range(1, scheme.colors)]
             case_ok = (rep.passed
@@ -277,7 +274,7 @@ def criterion_witnesses() -> CriterionResult:
             lower=IDENTITY, upper=ControlFn("plus-const", 2 * R_box),
         )
         ctrl = check_coarse_control(
-            delta, SpaceSpec.lattice((4,)), points=fibers,
+            delta, LatticeSpace((4,)), points=fibers,
         )
         ok = (res.all_fibers_witnessed and len(fibers) >= 100
               and ctrl.passed and ctrl.pairs_checked >= 100)
@@ -306,8 +303,8 @@ def criterion_oracle() -> CriterionResult:
         ok = wide.status == "infeasible" and narrow.status == "feasible"
         recheck = None
         if narrow.status == "feasible":
-            scheme = assignment_scheme(narrow, 3, 5, 1)
-            rep = verify_cover(scheme, SpaceSpec.lattice((1,)),
+            scheme = assignment_scheme(narrow)
+            rep = verify_cover(scheme, LatticeSpace((1,)),
                                Window.make(box=((-2, 2),)))
             recheck = rep.verdict
             ok = ok and rep.passed and rep.uncovered_total == 0
@@ -406,52 +403,33 @@ def criterion_isometries() -> CriterionResult:
     """The three flattening/interleaving maps are exactly distance-preserving
     on 10^4+ point pairs, and the level projection is 1-Lipschitz."""
     def run():
-        details = {}
-        ok = True
-
-        phi = MapSpec.make("phi-tower", {"n": 3})
-        spec_phi = SpaceSpec.tower_with_factor("pow2", 1)
-        ctrl = check_coarse_control(
-            phi, spec_phi, w=Window.make(levels=(1, 3), box=(-6, 6)),
-        )
-        ok = ok and ctrl.passed and ctrl.pairs_checked >= 10000
-        details["phi-tower"] = {"pairs": ctrl.pairs_checked,
-                                "violations": len(ctrl.violations)}
-
-        psi = MapSpec.make("psi-staircase", {"n": 2, "r": 4})
-        spec_psi = SpaceSpec.tower_with_factor("pow2", 1)
-        ctrl = check_coarse_control(
-            psi, spec_psi, w=Window.make(levels=(3, 4), box=(-8, 8)),
-        )
-        ok = ok and ctrl.passed and ctrl.pairs_checked >= 10000
-        details["psi-staircase"] = {"pairs": ctrl.pairs_checked,
-                                    "violations": len(ctrl.violations)}
-
-        theta = MapSpec.make("theta-interleave")
+        tower = TowerSpace("pow2", 1)
+        lattice = LatticeSpace((1, 2, 3))
         base = [(a, b, c)
                 for a in range(-3, 4)
                 for b in (-2, 0, 2)
                 for c in (-3, 0, 3)]
         pair_points = [(x, y) for x in base for y in base]
         pair_points = pair_points[:: max(1, len(pair_points) // 160)]
-        spec_theta = ProductSpace(SpaceSpec.lattice((1, 2, 3)),
-                                  SpaceSpec.lattice((1, 2, 3)))
-        ctrl = check_coarse_control(theta, spec_theta, points=pair_points)
-        ok = ok and ctrl.passed and ctrl.pairs_checked >= 10000
-        details["theta-interleave"] = {"pairs": ctrl.pairs_checked,
-                                       "violations": len(ctrl.violations)}
-
-        proj = MapSpec.make(
-            "f-level-projection",
-            lower=ControlFn("scaled", 0), upper=IDENTITY,
+        checks = (  # (map, domain, window, explicit points)
+            (MapSpec.make("phi-tower", {"n": 3}), tower,
+             Window.make(levels=(1, 3), box=(-6, 6)), None),
+            (MapSpec.make("psi-staircase", {"n": 2, "r": 4}), tower,
+             Window.make(levels=(3, 4), box=(-8, 8)), None),
+            (MapSpec.make("theta-interleave"), ProductSpace(lattice, lattice),
+             None, pair_points),
+            (MapSpec.make("f-level-projection",
+                          lower=ControlFn("scaled", 0), upper=IDENTITY),
+             ShiftUnionSpace(),
+             Window.make(levels=(0, 2), box=(-4, 4), max_support=2), None),
         )
-        ctrl = check_coarse_control(
-            proj, SpaceSpec.shift_union(),
-            w=Window.make(levels=(0, 2), box=(-4, 4), max_support=2),
-        )
-        ok = ok and ctrl.passed and ctrl.pairs_checked >= 10000
-        details["f-level-projection"] = {"pairs": ctrl.pairs_checked,
-                                         "violations": len(ctrl.violations)}
+        details = {}
+        ok = True
+        for m, domain, w, points in checks:
+            ctrl = check_coarse_control(m, domain, w=w, points=points)
+            ok = ok and ctrl.passed and ctrl.pairs_checked >= 10000
+            details[m.name] = {"pairs": ctrl.pairs_checked,
+                               "violations": len(ctrl.violations)}
         return ok, details
     return _timed("isometries + 1-Lipschitz projection", 60, run)
 

@@ -35,10 +35,14 @@ from .covers import (
 from .ordinal import FinFamily, inclusive_closure, is_inclusive, ord_rank
 from .spaces import (
     ControlFn,
+    LatticeSpace,
     MapSpec,
+    ProductSpace,
     ShiftPoint,
+    ShiftUnionSpace,
     SpaceSpec,
     TowerPoint,
+    TowerSpace,
     Window,
 )
 from .verify import (
@@ -70,13 +74,14 @@ def _object(value, what: str) -> dict:
 # ---------------------------------------------------------------------------
 
 SPACE_BUILDERS = {
-    "tower": lambda cfg: SpaceSpec.tower(cfg.get("step", "identity")),
-    "tower-with-factor": lambda cfg: SpaceSpec.tower_with_factor(
+    "tower": lambda cfg: TowerSpace(cfg.get("step", "identity")),
+    "tower-with-factor": lambda cfg: TowerSpace(
         cfg.get("step", "identity"), cfg.get("factor_dim", 1)),
-    "product-of-towers": lambda cfg: SpaceSpec.product_of_towers(
-        cfg.get("step", "identity")),
-    "shift-union": lambda cfg: SpaceSpec.shift_union(),
-    "plain-lattice": lambda cfg: SpaceSpec.lattice(tuple(cfg["axis_steps"])),
+    "product-of-towers": lambda cfg: ProductSpace(
+        TowerSpace(cfg.get("step", "identity")),
+        TowerSpace(cfg.get("step", "identity"))),
+    "shift-union": lambda cfg: ShiftUnionSpace(),
+    "plain-lattice": lambda cfg: LatticeSpace(tuple(cfg["axis_steps"])),
 }
 
 
@@ -88,16 +93,13 @@ def parse_space(cfg: dict) -> SpaceSpec:
 
 
 def parse_window(cfg: dict) -> Window:
-    box = _object(cfg, "window").get("box")
-    if box is not None and box and isinstance(box[0], list):
-        box = [tuple(iv) for iv in box]
-    axis_boxes = {int(i): tuple(iv) for i, iv in
-                  _object(cfg.get("axis_boxes") or {}, "axis_boxes").items()}
+    cfg = _object(cfg, "window")
+    axis_boxes = _object(cfg.get("axis_boxes") or {}, "axis_boxes")
     return Window.make(
-        levels=tuple(cfg["levels"]) if cfg.get("levels") else None,
-        box=tuple(box) if box is not None else None,
+        levels=cfg.get("levels"),
+        box=cfg.get("box"),
         max_support=cfg.get("max_support"),
-        axis_boxes=axis_boxes,
+        axis_boxes={int(i): iv for i, iv in axis_boxes.items()},
     )
 
 
@@ -236,9 +238,10 @@ def run_witness(cfg: dict, limits: dict) -> tuple[int, dict]:
             lower=parse_control(control_cfg.get("lower")),
             upper=parse_control(control_cfg.get("upper")),
         )
-        ctrl = check_coarse_control(
-            delta, parse_space(cfg["fiber_space"]), points=fibers,
-        )
+        fiber_space = parse_space(cfg["fiber_space"])
+        for fiber in fibers:
+            fiber_space.validate(fiber)
+        ctrl = check_coarse_control(delta, fiber_space, points=fibers)
         body["control"] = ctrl.to_json()
         if not ctrl.passed:
             status = 1
@@ -270,9 +273,8 @@ def run_oracle(cfg: dict, limits: dict) -> tuple[int, dict]:
     )
     body = outcome.to_json()
     if outcome.status == "feasible":
-        scheme = assignment_scheme(outcome, cfg["n"], cfg["R"],
-                                   cfg.get("colors", 1))
-        recheck = verify_cover(scheme, SpaceSpec.lattice((1,)),
+        scheme = assignment_scheme(outcome)
+        recheck = verify_cover(scheme, LatticeSpace((1,)),
                                Window.make(box=(tuple(cfg["window"]),)))
         body["recheck"] = recheck.to_json()
         if not recheck.passed:
@@ -313,6 +315,12 @@ def run_satunion(cfg: dict, limits: dict) -> tuple[int, dict]:
         return over
     space = parse_space(cfg["space"]) if "space" in cfg else None
     out = saturated_union(V, U, cfg["r"], space)
+    points = V.point_union() | U.point_union()
+    if space is not None:
+        # the union's rows reject points of another kind; this rejects the
+        # points of the right kind that are not in the space
+        for p in points:
+            space.validate(p)
 
     def point_order(p):
         return p.key() if hasattr(p, "key") else p
@@ -324,7 +332,7 @@ def run_satunion(cfg: dict, limits: dict) -> tuple[int, dict]:
              "points": [point_to_json(p) for p in sorted(pts, key=point_order)]}
             for k, pts in out.cells
         ],
-        "input_points": len(V.point_union() | U.point_union()),
+        "input_points": len(points),
         "output_points": len(out.point_union()),
     }
     return 0, body

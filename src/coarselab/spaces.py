@@ -295,36 +295,12 @@ def shift_distance(x: ShiftPoint, y: ShiftPoint) -> int:
 
 @dataclass(frozen=True, slots=True)
 class SpaceSpec:
-    """Which space is in play.  One subclass per kind, built by the
-    classmethods below; each defines `validate(p)`, `iter(window)`,
+    """Which space is in play.  One subclass per kind, built by its own
+    constructor; each defines `validate(p)`, `iter(window)`,
     `rows(points)`, and the per-level axis lists `_blocks(window)` that
     `size` counts (or its own `size`)."""
 
     l1: ClassVar[bool] = False  # rows are measured in l1, else in l-infinity
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def tower(cls, step: str = "identity") -> "TowerSpace":
-        return TowerSpace(step)
-
-    @classmethod
-    def tower_with_factor(cls, step: str, factor_dim: int) -> "TowerSpace":
-        return TowerSpace(step, factor_dim)
-
-    @classmethod
-    def shift_union(cls) -> "ShiftUnionSpace":
-        return ShiftUnionSpace()
-
-    @classmethod
-    def product_of_towers(cls, step: str = "pow2") -> "ProductSpace":
-        return ProductSpace(TowerSpace(step), TowerSpace(step))
-
-    @classmethod
-    def lattice(cls, axis_steps: Sequence[int]) -> "LatticeSpace":
-        return LatticeSpace(tuple(axis_steps))
-
-    # -- shared behaviour --------------------------------------------------
 
     @property
     def row_metric(self) -> Callable[[Sequence[int], Sequence[int]], int]:

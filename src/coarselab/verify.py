@@ -25,7 +25,7 @@ import bisect
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .covers import CoverScheme
@@ -90,14 +90,7 @@ class ColorRecord:
     bound_pass: bool
 
     def to_json(self) -> dict:
-        return {
-            "color": self.color,
-            "cells_seen": self.cells_seen,
-            "max_diameter": self.max_diameter,
-            "min_cross_cell_separation": self.min_cross_cell_separation,
-            "separation_pass": self.separation_pass,
-            "bound_pass": self.bound_pass,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -694,14 +687,7 @@ class OracleOutcome:
     params: dict
 
     def to_json(self) -> dict:
-        return {
-            "status": self.status,
-            "nodes_explored": self.nodes_explored,
-            "window": list(self.window),
-            "params": self.params,
-            "assignment": ([[x, c, g] for x, c, g in self.assignment]
-                           if self.assignment is not None else None),
-        }
+        return asdict(self)
 
 
 def oracle_1d_nocover(n: int, R: int, colors: int,
@@ -797,12 +783,13 @@ def oracle_1d_nocover(n: int, R: int, colors: int,
     return OracleOutcome("feasible", assignment, nodes, window, params)
 
 
-def assignment_scheme(outcome: OracleOutcome, n: int, R: int,
-                      colors: int) -> CoverScheme:
+def assignment_scheme(outcome: OracleOutcome) -> CoverScheme:
     """Wrap a feasible oracle assignment as a lookup cover scheme on the 1-D
-    lattice so verify_cover can re-check it independently."""
+    lattice, declaring the `n`, `R` and `colors` the search was run with, so
+    verify_cover can re-check it independently."""
     if outcome.assignment is None:
         raise VerifyError("no assignment to wrap")
+    n, R, colors = (outcome.params[k] for k in ("n", "R", "colors"))
     table = {(x,): (c, (c, g)) for x, c, g in outcome.assignment}
 
     def classify(p):

@@ -17,7 +17,12 @@ from coarselab.cli import (
     parse_space,
     run_experiment,
 )
-from coarselab.spaces import SpaceSpec
+from coarselab.spaces import (
+    LatticeSpace,
+    ProductSpace,
+    ShiftUnionSpace,
+    TowerSpace,
+)
 
 
 def run_cli(tmp_path, command, config, extra=()):
@@ -507,6 +512,36 @@ def test_points_of_another_kind_exit_two(tmp_path, command, config, message):
     assert report["report"]["message"] == f"SpaceError: {message}"
 
 
+@pytest.mark.parametrize("command, config, message", [
+    # pow2 level 2 wants coordinates divisible by 4
+    ("satunion", {"space": {"kind": "tower", "step": "pow2"},
+                  "V": {"cells": [{"key": ["v"], "points": [
+                      {"level": 2, "coords": [1, 1]}]}]},
+                  "U": {"cells": [{"key": ["u"], "points": [
+                      {"level": 2, "coords": [4, 4]}]}]},
+                  "r": 1},
+     "coord 1 at axis 0 not divisible by step 4 of level 2"),
+    # a level-2 shift point has no support below index 2
+    ("satunion", {"space": {"kind": "shift-union"},
+                  "V": {"cells": [{"key": ["v"], "points": [
+                      {"level": 2, "support": {"0": 5}}]}]},
+                  "U": {"cells": [{"key": ["u"], "points": [
+                      {"level": 2, "support": {"2": 1}}]}]},
+                  "r": 1},
+     "index 0 below level 2 must be zero"),
+    # fibers 1 and 3 are off the step-2 fiber lattice
+    ("witness", {**WITNESS_CONFIG, "fibers": [[1], [3]],
+                 "fiber_space": {"kind": "plain-lattice", "axis_steps": [2]}},
+     "coord 1 at axis 0 not divisible by 2"),
+])
+def test_points_outside_their_space_exit_two(tmp_path, command, config,
+                                             message):
+    status, report = run_cli(tmp_path, command, config)
+    assert status == 2
+    assert report["status"] == "error"
+    assert report["report"]["message"] == f"SpaceError: {message}"
+
+
 def test_version_has_one_source(tmp_path):
     tomllib = pytest.importorskip("tomllib")  # standard library from 3.11
     pyproject = tomllib.loads(
@@ -520,11 +555,12 @@ def test_version_has_one_source(tmp_path):
 
 
 BUILT_SPACES = {
-    "tower": SpaceSpec.tower("identity"),
-    "tower-with-factor": SpaceSpec.tower_with_factor("identity", 1),
-    "product-of-towers": SpaceSpec.product_of_towers("identity"),
-    "shift-union": SpaceSpec.shift_union(),
-    "plain-lattice": SpaceSpec.lattice((1, 2)),
+    "tower": TowerSpace("identity"),
+    "tower-with-factor": TowerSpace("identity", 1),
+    "product-of-towers": ProductSpace(TowerSpace("identity"),
+                                      TowerSpace("identity")),
+    "shift-union": ShiftUnionSpace(),
+    "plain-lattice": LatticeSpace((1, 2)),
 }
 
 

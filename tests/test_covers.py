@@ -24,10 +24,12 @@ from coarselab.covers import (
     staircase_cover,
 )
 from coarselab.spaces import (
+    ProductSpace,
     ShiftPoint,
+    ShiftUnionSpace,
     SpaceError,
-    SpaceSpec,
     TowerPoint,
+    TowerSpace,
     Window,
     space_distance,
     tower_distance,
@@ -87,7 +89,7 @@ def test_grid_classification_is_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_singleton_cover_threshold():
-    spec = SpaceSpec.tower("identity")
+    spec = TowerSpace("identity")
     sc = singleton_cover(spec, 3)
     high = TowerPoint(5, (5, 10, 0, 0, 5))
     assert sc.classify(high) == (0, high.key())
@@ -95,7 +97,7 @@ def test_singleton_cover_threshold():
 
 
 def test_singleton_separation_exceeds_threshold():
-    spec = SpaceSpec.tower("identity")
+    spec = TowerSpace("identity")
     pts = list(spec.iter(Window.make(levels=(4, 4), box=(-8, 8))))
     d = min(tower_distance(a, b) for a in pts for b in pts if a != b)
     assert d == 4  # level-4 coordinates move in steps of 4
@@ -106,7 +108,7 @@ def test_singleton_separation_exceeds_threshold():
 
 def test_singleton_cover_rejects_factor_spaces():
     with pytest.raises(CoverError):
-        singleton_cover(SpaceSpec.tower_with_factor("identity", 1), 3)
+        singleton_cover(TowerSpace("identity", 1), 3)
 
 
 def test_fiber_product_composes_base_classification():
@@ -304,7 +306,7 @@ def test_product_square_color_count_depends_on_k_only():
 
 def test_product_square_regions_partition():
     scheme = product_square_cover(1, 3)
-    spec = SpaceSpec.product_of_towers("pow2")
+    spec = ProductSpace(TowerSpace("pow2"), TowerSpace("pow2"))
     pts = list(spec.iter(Window.make(levels=(1, 4), box=(-4, 4))))
     for p in pts:
         res = scheme.classify(p)
@@ -323,7 +325,7 @@ def test_product_square_high_pairs_are_merged_singletons():
 
 def test_product_square_high_pairs_pairwise_distance():
     scheme = product_square_cover(1, 3)
-    spec = SpaceSpec.product_of_towers("pow2")
+    spec = ProductSpace(TowerSpace("pow2"), TowerSpace("pow2"))
     pts = list(spec.iter(Window.make(levels=(2, 3), box=(-8, 8))))
     singles = [p for p in pts if scheme.classify(p)[1][0] == 1]
     # the product metric is the max of the two factor distances, so the
@@ -416,8 +418,8 @@ def test_set_distance_merge_path_matches_naive():
         assert set_distance(A, B) == naive
     # tower and shift-union points against the all-pairs space distance;
     # empty-support shift points have one-column rows, measured by the merge
-    tower = SpaceSpec.tower("identity")
-    shift = SpaceSpec.shift_union()
+    tower = TowerSpace("identity")
+    shift = ShiftUnionSpace()
     pools = [
         (tower, list(tower.iter(Window.make(levels=(1, 3), box=(-3, 3))))),
         (shift, list(shift.iter(Window.make(levels=(0, 2), box=(-3, 3),

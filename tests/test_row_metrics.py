@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarselab.spaces import (
+    LatticeSpace,
     ProductSpace,
     ShiftPoint,
+    ShiftUnionSpace,
     SpaceError,
-    SpaceSpec,
     TowerPoint,
+    TowerSpace,
     lattice_max_distance,
     shift_distance,
     space_distance,
@@ -32,14 +34,14 @@ SHIFT_POINTS = st.builds(
     st.dictionaries(st.integers(0, 6), st.integers(-5, 5), max_size=4),
     st.integers(0, 3))
 
-# points of SpaceSpec.lattice((1, 2, 3))
+# points of LatticeSpace((1, 2, 3))
 LATTICE_POINTS = st.tuples(COORD, st.integers(-4, 4).map(lambda v: 2 * v),
                            st.integers(-3, 3).map(lambda v: 3 * v))
 
 # product factors: (space, point strategy, reference distance)
 FACTORS = {
-    "tower": (SpaceSpec.tower("identity"), tower_points(0), tower_distance),
-    "lattice": (SpaceSpec.lattice((1, 2, 3)), LATTICE_POINTS,
+    "tower": (TowerSpace("identity"), tower_points(0), tower_distance),
+    "lattice": (LatticeSpace((1, 2, 3)), LATTICE_POINTS,
                 lattice_max_distance),
 }
 
@@ -54,7 +56,7 @@ def row_metric(spec, p, q, others):
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), extra_dim=st.integers(0, 2))
 def test_tower_rows_measure_tower_distance(data, extra_dim):
-    spec = SpaceSpec.tower_with_factor("identity", extra_dim)
+    spec = TowerSpace("identity", extra_dim)
     points = tower_points(extra_dim)
     p, q = data.draw(points), data.draw(points)
     others = data.draw(st.lists(points, max_size=3))
@@ -78,9 +80,9 @@ def test_product_rows_measure_the_larger_factor_distance(data, kinds):
 
 
 def test_product_refuses_an_l1_factor():
-    lattice = SpaceSpec.lattice((1, 2, 3))
-    for factors in ((SpaceSpec.shift_union(), lattice),
-                    (lattice, SpaceSpec.shift_union())):
+    lattice = LatticeSpace((1, 2, 3))
+    for factors in ((ShiftUnionSpace(), lattice),
+                    (lattice, ShiftUnionSpace())):
         with pytest.raises(SpaceError, match="l-infinity"):
             ProductSpace(*factors)
 
@@ -89,7 +91,7 @@ def test_product_refuses_an_l1_factor():
 @given(p=SHIFT_POINTS, q=SHIFT_POINTS, others=st.lists(SHIFT_POINTS,
                                                        max_size=3))
 def test_shift_rows_measure_shift_distance(p, q, others):
-    spec = SpaceSpec.shift_union()
+    spec = ShiftUnionSpace()
     assert row_metric(spec, p, q, others) == shift_distance(p, q)
     assert space_distance(spec, p, q) == shift_distance(p, q)
 
@@ -97,7 +99,7 @@ def test_shift_rows_measure_shift_distance(p, q, others):
 def test_tower_rows_reject_mismatched_extra_blocks():
     a = TowerPoint(1, (2,), (5,))
     b = TowerPoint(1, (2,))
-    spec = SpaceSpec.tower_with_factor("identity", 1)
+    spec = TowerSpace("identity", 1)
     with pytest.raises(SpaceError, match="mismatched extra-block"):
         spec.rows([a, b])
     with pytest.raises(SpaceError, match="mismatched extra-block"):
@@ -106,4 +108,4 @@ def test_tower_rows_reject_mismatched_extra_blocks():
 
 def test_lattice_rows_are_the_points_themselves():
     points = [(0, 3), (1, -3)]
-    assert SpaceSpec.lattice((1, 3)).rows(points) is points
+    assert LatticeSpace((1, 3)).rows(points) is points

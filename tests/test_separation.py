@@ -9,9 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coarselab.spaces import (
+    LatticeSpace,
+    ProductSpace,
     ShiftPoint,
-    SpaceSpec,
+    ShiftUnionSpace,
     TowerPoint,
+    TowerSpace,
     lattice_max_distance,
     space_distance,
 )
@@ -68,15 +71,15 @@ def layouts(draw, spec, point, spanning):
 def lattice_layouts():
     def for_dim(dim):
         spanning = [(-6,) + (0,) * (dim - 1), (6,) + (0,) * (dim - 1)]
-        return layouts(SpaceSpec.lattice((1,) * dim),
+        return layouts(LatticeSpace((1,) * dim),
                        st.tuples(*[COORD] * dim), spanning)
     return st.integers(1, 3).flatmap(for_dim)
 
 
 def tower_layouts():
     def for_extra(extra_dim):
-        spec = (SpaceSpec.tower_with_factor("identity", extra_dim)
-                if extra_dim else SpaceSpec.tower("identity"))
+        spec = (TowerSpace("identity", extra_dim)
+                if extra_dim else TowerSpace("identity"))
         pad = (0,) * extra_dim
         spanning = [TowerPoint(1, (-6,), pad), TowerPoint(3, (6, 0, 0), pad)]
         return layouts(spec, tower_points(extra_dim), spanning)
@@ -87,12 +90,13 @@ def product_layouts():
     factor = tower_points(0)
     origin = TowerPoint(1, (0,))
     return layouts(
-        SpaceSpec.product_of_towers("identity"), st.tuples(factor, factor),
+        ProductSpace(TowerSpace("identity"), TowerSpace("identity")),
+        st.tuples(factor, factor),
         [(TowerPoint(1, (-6,)), origin), (TowerPoint(2, (6, 0)), origin)])
 
 
 def shift_layouts():
-    return layouts(SpaceSpec.shift_union(), shift_points(),
+    return layouts(ShiftUnionSpace(), shift_points(),
                    [ShiftPoint(0, ()), ShiftPoint(3, ())])
 
 
@@ -128,8 +132,8 @@ def spread_layouts(draw):
                                             max_size=4))}
         cells.append(draw(st.permutations(sorted(rows))))
     if not l1:
-        return SpaceSpec.lattice((1,) * dim), cells
-    return SpaceSpec.shift_union(), [
+        return LatticeSpace((1,) * dim), cells
+    return ShiftUnionSpace(), [
         [ShiftPoint.from_support(dict(enumerate(row[1:], 1)), row[0])
          for row in rows] for rows in cells]
 
@@ -138,10 +142,10 @@ def spread_layouts(draw):
 @given(layout=spread_layouts())
 # row (6, 4) is exactly the running best, 4, from row (3, 0) on the window
 # axis 1, so the window leaves it out
-@example(layout=(SpaceSpec.lattice((1, 1)),
+@example(layout=(LatticeSpace((1, 1)),
                  [[(4, 6), (1, 4), (6, 4)], [(3, 0)]]))
 # the boxes are apart on axis 2 only, so the window axis is 2
-@example(layout=(SpaceSpec.lattice((1, 1, 1)),
+@example(layout=(LatticeSpace((1, 1, 1)),
                  [[(0, 0, 0), (2, 2, 1)],
                   [(1, 5, 9), (0, -3, 6), (2, 1, 4)]]))
 def test_spread_layouts_match_all_pairs_minimum(layout):
@@ -174,7 +178,7 @@ def test_exact_step_measures_only_the_window(monkeypatch, shift,
 @example(cells=[[(0,)], [(0,)]])          # the same point twice
 @example(cells=[[(1,)], [(1,), (4,)]])    # equal lo, touching
 def test_two_cell_layouts(cells):
-    assert_sweep_matches_brute(SpaceSpec.lattice((1,)), cells)
+    assert_sweep_matches_brute(LatticeSpace((1,)), cells)
 
 
 @st.composite

@@ -6,11 +6,14 @@ import pytest
 
 from coarselab.spaces import (
     ControlFn,
+    LatticeSpace,
     MapSpec,
+    ProductSpace,
     ShiftPoint,
+    ShiftUnionSpace,
     SpaceError,
-    SpaceSpec,
     TowerPoint,
+    TowerSpace,
     Window,
     WindowError,
     evaluate_map,
@@ -80,7 +83,7 @@ def test_level_penalty_closed_form():
 
 
 def test_equal_level_distance_is_plain_max_metric():
-    spec = SpaceSpec.tower_with_factor("identity", 2)
+    spec = TowerSpace("identity", 2)
     w = Window.make(levels=(2, 2), box=(-4, 4))
     pts = list(spec.iter(w))
     for p in pts[::7]:
@@ -93,7 +96,7 @@ def test_equal_level_distance_is_plain_max_metric():
 def test_tower_metric_axioms_on_window_sample():
     rng = random.Random(7)
     for step in ("identity", "pow2"):
-        spec = SpaceSpec.tower(step)
+        spec = TowerSpace(step)
         pts = list(spec.iter(Window.make(levels=(1, 3), box=(-8, 8))))
         for _ in range(300):
             p, q, s = (rng.choice(pts) for _ in range(3))
@@ -128,7 +131,7 @@ def test_shift_distance_sums_support_differences():
 
 def test_shift_metric_axioms_on_window_sample():
     rng = random.Random(11)
-    spec = SpaceSpec.shift_union()
+    spec = ShiftUnionSpace()
     pts = list(spec.iter(Window.make(levels=(0, 2), box=(-4, 4),
                                      max_support=3)))
     for _ in range(300):
@@ -144,7 +147,7 @@ def test_shift_membership_checked_by_space_not_constructor():
     p = ShiftPoint.from_support({3: -4}, 1)
     assert p.membership_error() is not None
     with pytest.raises(SpaceError):
-        SpaceSpec.shift_union().validate(p)
+        ShiftUnionSpace().validate(p)
 
 
 # ---------------------------------------------------------------------------
@@ -158,19 +161,19 @@ def test_multiples_in():
 
 
 def test_enumerate_level_one_identity_tower():
-    spec = SpaceSpec.tower("identity")
+    spec = TowerSpace("identity")
     pts = list(spec.iter(Window.make(levels=(1, 1), box=(-2, 2))))
     assert [p.coords for p in pts] == [(-2,), (-1,), (0,), (1,), (2,)]
 
 
 def test_enumerate_doubling_tower_level_two():
-    spec = SpaceSpec.tower("pow2")
+    spec = TowerSpace("pow2")
     pts = list(spec.iter(Window.make(levels=(2, 2), box=(-4, 4))))
     assert len(pts) == 9  # coords from {-4, 0, 4}^2
 
 
 def test_enumerate_shift_window():
-    spec = SpaceSpec.shift_union()
+    spec = ShiftUnionSpace()
     pts = list(spec.iter(Window.make(levels=(0, 0), box=(-2, 2),
                                      max_support=1)))
     assert len(pts) == 15  # x0 free in [-2,2], x1 in 2Z
@@ -187,10 +190,10 @@ def test_enumeration_is_sorted_and_duplicate_free():
         return p
 
     for spec, w in (
-        (SpaceSpec.tower("identity"), Window.make(levels=(1, 3), box=(-4, 4))),
-        (SpaceSpec.shift_union(),
+        (TowerSpace("identity"), Window.make(levels=(1, 3), box=(-4, 4))),
+        (ShiftUnionSpace(),
          Window.make(levels=(0, 2), box=(-3, 3), max_support=3)),
-        (SpaceSpec.lattice((1, 3)), Window.make(box=((-5, 5), (-6, 6)))),
+        (LatticeSpace((1, 3)), Window.make(box=((-5, 5), (-6, 6)))),
     ):
         pts = list(spec.iter(w))
         keys = [lex_key(spec, p) for p in pts]
@@ -202,11 +205,11 @@ def test_enumeration_is_sorted_and_duplicate_free():
 
 def test_enumeration_matches_window_size():
     cases = (
-        (SpaceSpec.tower_with_factor("pow2", 1),
+        (TowerSpace("pow2", 1),
          Window.make(levels=(1, 3), box=(-6, 6))),
-        (SpaceSpec.shift_union(),
+        (ShiftUnionSpace(),
          Window.make(levels=(0, 2), box=(-3, 3), max_support=3)),
-        (SpaceSpec.product_of_towers("pow2"),
+        (ProductSpace(TowerSpace("pow2"), TowerSpace("pow2")),
          Window.make(levels=(1, 2), box=(-4, 4))),
     )
     for spec, w in cases:
@@ -214,7 +217,7 @@ def test_enumeration_matches_window_size():
 
 
 def test_axis_boxes_pin_individual_axes():
-    spec = SpaceSpec.lattice((1, 1, 1))
+    spec = LatticeSpace((1, 1, 1))
     w = Window.make(box=(-2, 2), axis_boxes={1: (0, 0)})
     pts = list(spec.iter(w))
     assert all(p[1] == 0 for p in pts)
@@ -223,16 +226,16 @@ def test_axis_boxes_pin_individual_axes():
 
 def test_unbounded_window_is_an_error():
     with pytest.raises(WindowError):
-        list(SpaceSpec.tower("identity").iter(Window.make(box=(-2, 2))))
+        list(TowerSpace("identity").iter(Window.make(box=(-2, 2))))
     with pytest.raises(WindowError):
-        list(SpaceSpec.shift_union().iter(
+        list(ShiftUnionSpace().iter(
             Window.make(levels=(0, 1), box=(-2, 2))))
     with pytest.raises(WindowError):
         Window.make(box=(3, -3))
 
 
 def test_tower_points_validate_divisibility():
-    spec = SpaceSpec.tower("pow2")
+    spec = TowerSpace("pow2")
     spec.validate(TowerPoint(2, (4, -8)))
     with pytest.raises(SpaceError):
         spec.validate(TowerPoint(2, (4, 2)))
@@ -257,7 +260,7 @@ def test_phi_tower_rejects_high_levels():
 
 
 def test_phi_tower_is_isometric_on_window():
-    spec = SpaceSpec.tower_with_factor("pow2", 1)
+    spec = TowerSpace("pow2", 1)
     pts = list(spec.iter(Window.make(levels=(1, 3), box=(-8, 8))))
     phi = MapSpec.make("phi-tower", {"n": 3})
     images = [evaluate_map(phi, p) for p in pts]
@@ -269,7 +272,7 @@ def test_phi_tower_is_isometric_on_window():
 
 def test_psi_staircase_domain_and_isometry():
     psi = MapSpec.make("psi-staircase", {"n": 1, "r": 3})
-    spec = SpaceSpec.tower_with_factor("pow2", 1)
+    spec = TowerSpace("pow2", 1)
     with pytest.raises(SpaceError):
         evaluate_map(psi, TowerPoint(1, (2,), (0,)))
     pts = list(spec.iter(Window.make(levels=(2, 3), box=(-8, 8))))

@@ -26,9 +26,12 @@ from coarselab.covers import (
 from coarselab.spaces import (
     ControlFn,
     IDENTITY,
+    LatticeSpace,
     MapSpec,
+    ProductSpace,
+    ShiftUnionSpace,
     SpaceError,
-    SpaceSpec,
+    TowerSpace,
     Window,
     iter_window,
     space_distance,
@@ -95,7 +98,7 @@ def assert_engine_matches_brute(scheme, spec, w, **kwargs):
 
 def test_engine_matches_brute_on_grid():
     rep = assert_engine_matches_brute(
-        grid_cover(1, 5), SpaceSpec.lattice((1,)),
+        grid_cover(1, 5), LatticeSpace((1,)),
         Window.make(box=((-50, 50),)))
     assert rep.record(0).min_cross_cell_separation == 6
     assert rep.record(0).max_diameter == 4
@@ -105,7 +108,7 @@ def test_engine_matches_brute_on_grid():
 def test_engine_matches_brute_on_staircase_slice():
     # the [-2,2] boxes still realize all four phase classes of the scheme
     scheme = staircase_cover(1, 2, dim=2, height_interval=(3, 3))
-    spec = SpaceSpec.lattice((2, 2, 1, 1))
+    spec = LatticeSpace((2, 2, 1, 1))
     w = Window.make(axis_boxes={0: (-2, 2), 1: (-2, 2),
                                 2: (-64, 64), 3: (3, 3)})
     rep = assert_engine_matches_brute(scheme, spec, w)
@@ -116,13 +119,13 @@ def test_engine_matches_brute_on_staircase_slice():
 
 def test_engine_matches_brute_on_mixed_grid():
     scheme = mixed_grid_cover(1, 1, 3, 5)
-    spec = SpaceSpec.lattice((1, 3))
+    spec = LatticeSpace((1, 3))
     w = Window.make(axis_boxes={0: (-24, 24), 1: (-15, 15)})
     assert_engine_matches_brute(scheme, spec, w)
 
 
 def test_engine_matches_brute_on_tower_singletons():
-    spec = SpaceSpec.tower("identity")
+    spec = TowerSpace("identity")
     scheme = singleton_cover(spec, 2)
     w = Window.make(levels=(3, 4), box=(-6, 6))
     rep = assert_engine_matches_brute(scheme, spec, w)
@@ -131,14 +134,14 @@ def test_engine_matches_brute_on_tower_singletons():
 
 def test_engine_matches_brute_on_product_square():
     scheme = product_square_cover(1, 2)
-    spec = SpaceSpec.product_of_towers("pow2")
+    spec = ProductSpace(TowerSpace("pow2"), TowerSpace("pow2"))
     w = Window.make(levels=(1, 2), box=(-4, 4))
     assert_engine_matches_brute(scheme, spec, w)
 
 
 def test_engine_matches_brute_on_shift_union():
     scheme = shift_union_cover(1, 2)
-    spec = SpaceSpec.shift_union()
+    spec = ShiftUnionSpace()
     w = Window.make(levels=(0, 3), max_support=7, box=(0, 0),
                     axis_boxes={2: (-12, 12), 3: (-4, 4), 5: (-6, 6)})
     rep = assert_engine_matches_brute(scheme, spec, w)
@@ -147,7 +150,7 @@ def test_engine_matches_brute_on_shift_union():
 
 def test_omega_cover_verifies_over_a_tower_window():
     scheme = omega_cover(3, 5)
-    spec = SpaceSpec.tower_with_factor("pow2", 1)
+    spec = TowerSpace("pow2", 1)
     rep = verify_cover(scheme, spec, Window.make(levels=(1, 5), box=(-8, 8)))
     assert rep.passed
     assert rep.uncovered_total == 0
@@ -159,7 +162,7 @@ def test_omega_cover_verifies_over_a_tower_window():
 
 
 def test_zero_point_window_passes_with_empty_colors():
-    spec = SpaceSpec.lattice((5,))
+    spec = LatticeSpace((5,))
     w = Window.make(box=((1, 4),))  # no multiples of 5 inside
     rep = verify_cover(grid_cover(1, 3), spec, w)
     assert rep.points_seen == 0
@@ -168,7 +171,7 @@ def test_zero_point_window_passes_with_empty_colors():
 
 def test_run_path_agrees_with_pointwise():
     scheme = staircase_cover(1, 2, dim=2, height_interval=(1, 1))
-    spec = SpaceSpec.lattice((2, 2, 1, 1))
+    spec = LatticeSpace((2, 2, 1, 1))
     w = Window.make(axis_boxes={0: (-16, 16), 1: (-16, 16),
                                 2: (0, 180), 3: (1, 1)})
     a = verify_cover(scheme, spec, w, mode="pointwise")
@@ -182,7 +185,7 @@ def test_run_path_agrees_with_pointwise():
 
 def test_run_mode_requires_run_support():
     with pytest.raises(VerifyError):
-        verify_cover(grid_cover(1, 5), SpaceSpec.lattice((1,)),
+        verify_cover(grid_cover(1, 5), LatticeSpace((1,)),
                      Window.make(box=((-5, 5),)), mode="runs")
 
 
@@ -192,7 +195,7 @@ def test_run_mode_requires_run_support():
 
 def test_monotone_in_window_size():
     scheme = grid_cover(2, 4)
-    spec = SpaceSpec.lattice((1, 1))
+    spec = LatticeSpace((1, 1))
     small = verify_cover(scheme, spec, Window.make(box=(-10, 10)))
     large = verify_cover(scheme, spec, Window.make(box=(-30, 30)))
     for rec_s, rec_l in zip(small.per_color, large.per_color):
@@ -204,11 +207,11 @@ def test_monotone_in_window_size():
 
 def test_empty_window_is_pass_with_empty_color():
     scheme = spaced_interval_cover(6, 3)
-    rep = verify_cover(scheme, SpaceSpec.lattice((1,)),
+    rep = verify_cover(scheme, LatticeSpace((1,)),
                        Window.make(box=((6, 7),)))
     # points exist but fall between blocks: uncovered, hence fail
     assert rep.verdict == "fail"
-    rep = verify_cover(grid_cover(1, 5), SpaceSpec.lattice((1,)),
+    rep = verify_cover(grid_cover(1, 5), LatticeSpace((1,)),
                        Window.make(box=((2, 3),)))
     assert rep.verdict == "pass-with-empty-color"  # one parity never appears
 
@@ -216,7 +219,7 @@ def test_empty_window_is_pass_with_empty_color():
 def test_uncovered_points_reported_not_raised():
     # period-6 blocks {0,1,2}, {6,7,8}, {12}: 7 of 13 points covered
     scheme = spaced_interval_cover(3, 4)
-    rep = verify_cover(scheme, SpaceSpec.lattice((1,)),
+    rep = verify_cover(scheme, LatticeSpace((1,)),
                        Window.make(box=((0, 12),)))
     assert rep.verdict == "fail"
     assert rep.uncovered_total == 6
@@ -225,7 +228,7 @@ def test_uncovered_points_reported_not_raised():
 
 def test_budget_guard():
     with pytest.raises(BudgetExceeded):
-        verify_cover(grid_cover(2, 5), SpaceSpec.lattice((1, 1)),
+        verify_cover(grid_cover(2, 5), LatticeSpace((1, 1)),
                      Window.make(box=(-500, 500)), point_budget=1000)
 
 
@@ -239,7 +242,7 @@ def test_run_path_rejects_a_cell_spread_over_two_fibers():
         declared_separation={0: 1}, declared_bound={0: 10},
         moving_axis=1, fiber_runs=fiber_runs,
     )
-    spec = SpaceSpec.lattice((1, 1))
+    spec = LatticeSpace((1, 1))
     w = Window.make(box=((0, 1), (0, 9)))
     with pytest.raises(VerifyError,
                        match='single-fiber cells; use mode="pointwise"'):
@@ -255,7 +258,7 @@ def test_both_paths_count_an_out_of_range_color_as_errors():
         moving_axis=1,
         fiber_runs=lambda fiber, t_lo, t_hi: [(t_lo, t_hi, 3, fiber[0])],
     )
-    spec = SpaceSpec.lattice((1, 1))
+    spec = LatticeSpace((1, 1))
     w = Window.make(box=((0, 1), (0, 9)))
     a = verify_cover(scheme, spec, w, mode="pointwise")
     b = verify_cover(scheme, spec, w, mode="runs")
@@ -286,7 +289,7 @@ def test_run_path_agrees_on_a_cell_of_two_runs_on_one_fiber():
         declared_bound={0: 8, 1: 8},
         moving_axis=1, fiber_runs=fiber_runs,
     )
-    spec = SpaceSpec.lattice((3, 1))
+    spec = LatticeSpace((3, 1))
     w = Window.make(box=((0, 6), (0, 11)))
     assert fiber_runs((0,), 0, 11)[::2] == [(0, 2, 0, (0, 0)),
                                             (6, 8, 0, (0, 0))]
@@ -302,7 +305,7 @@ def test_run_path_memory_per_cell():
     # the run path keeps one run layout per group of cells, not a record
     # per cell: 34,391 staircase cells over 4,913 fibers
     scheme = staircase_cover(2, 3, height_interval=(3, 3))
-    spec = SpaceSpec.lattice((4, 4, 4, 1, 1))
+    spec = LatticeSpace((4, 4, 4, 1, 1))
     w = Window.make(axis_boxes={0: (-32, 32), 1: (-32, 32), 2: (-32, 32),
                                 3: (0, 3 * 2920), 4: (3, 3)})
     tracemalloc.start()
@@ -317,7 +320,7 @@ def test_run_path_memory_per_cell():
 
 
 def test_report_json_round_trip_fields():
-    rep = verify_cover(grid_cover(1, 3), SpaceSpec.lattice((1,)),
+    rep = verify_cover(grid_cover(1, 3), LatticeSpace((1,)),
                        Window.make(box=((-9, 9),)))
     body = rep.to_json()
     assert body["verdict"] == "pass"
@@ -378,7 +381,7 @@ def test_delta_table_concatenates_fiber_and_witness():
 # ---------------------------------------------------------------------------
 
 def test_identity_map_has_no_violations():
-    spec = SpaceSpec.lattice((1,))
+    spec = LatticeSpace((1,))
     identity = MapSpec.make("delta-witness",
                             table={(x,): (x,) for x in range(-20, 21)})
     report = check_coarse_control(identity, spec, spec,
@@ -389,7 +392,7 @@ def test_identity_map_has_no_violations():
 
 def test_phi_tower_isometry_control():
     phi = MapSpec.make("phi-tower", {"n": 3})
-    spec = SpaceSpec.tower_with_factor("pow2", 1)
+    spec = TowerSpace("pow2", 1)
     report = check_coarse_control(phi, spec,
                                   w=Window.make(levels=(1, 3), box=(-4, 4)))
     assert report.passed
@@ -399,7 +402,7 @@ def test_phi_tower_isometry_control():
 def test_violations_are_reported_with_distances():
     # doubling map against identity controls violates the upper bound on
     # all 210 pairs; the report keeps the first 100 and samples 20 of them
-    spec = SpaceSpec.lattice((1,))
+    spec = LatticeSpace((1,))
     double = MapSpec.make("delta-witness",
                           table={(x,): (2 * x,) for x in range(21)})
     report = check_coarse_control(double, spec, spec,
@@ -421,7 +424,7 @@ def test_delta_witness_control_bounds():
     res = find_fiber_witnesses([family], fibers, box)
     delta = MapSpec.make("delta-witness", table=res.delta_table(),
                          lower=IDENTITY, upper=ControlFn("plus-const", 10))
-    report = check_coarse_control(delta, SpaceSpec.lattice((5,)),
+    report = check_coarse_control(delta, LatticeSpace((5,)),
                                   points=fibers)
     assert report.passed
     assert report.max_observed_stretch <= 10
@@ -447,8 +450,8 @@ def test_oracle_narrow_window_is_feasible_single_cluster():
 def test_oracle_two_colors_hand_cover():
     out = oracle_1d_nocover(3, 30, 2, (-30, 30))
     assert out.status == "feasible"
-    scheme = assignment_scheme(out, 3, 30, 2)
-    rep = verify_cover(scheme, SpaceSpec.lattice((1,)),
+    scheme = assignment_scheme(out)
+    rep = verify_cover(scheme, LatticeSpace((1,)),
                        Window.make(box=((-30, 30),)))
     assert rep.passed
     assert rep.uncovered_total == 0
@@ -458,8 +461,8 @@ def test_oracle_feasible_assignments_reverify():
     for window in ((-2, 2), (0, 5), (-7, -3)):
         out = oracle_1d_nocover(2, 6, 1, window)
         assert out.status == "feasible"
-        rep = verify_cover(assignment_scheme(out, 2, 6, 1),
-                           SpaceSpec.lattice((1,)),
+        rep = verify_cover(assignment_scheme(out),
+                           LatticeSpace((1,)),
                            Window.make(box=(window,)))
         assert rep.passed and rep.uncovered_total == 0
 
@@ -545,7 +548,7 @@ def test_engine_matches_brute_on_random_block_schemes(width, colors, salt,
         declared_separation={c: 1 for c in range(colors)},
         declared_bound={c: 2 * width for c in range(colors)},
     )
-    assert_engine_matches_brute(scheme, SpaceSpec.lattice((1, 1)),
+    assert_engine_matches_brute(scheme, LatticeSpace((1, 1)),
                                 Window.make(box=(-half, half)))
 
 
@@ -571,7 +574,7 @@ def staircase_windows(draw):
     axis_boxes[dim + 1] = draw(st.sampled_from(
         [(h, h) for h in range(h_lo, h_hi + 1)]
         + [(h_lo - 1, h_lo), (h_hi, h_hi + 1)]))
-    spec = SpaceSpec.lattice((2 ** n,) * dim + (1, 1))
+    spec = LatticeSpace((2 ** n,) * dim + (1, 1))
     return scheme, spec, Window.make(axis_boxes=axis_boxes)
 
 
@@ -624,7 +627,7 @@ def table_schemes(draw):
         lo = draw(st.integers(-4, 4))
         axis_boxes[axis] = (lo, lo + draw(st.integers(0, 5)))
     w = Window.make(axis_boxes=axis_boxes)
-    spec = SpaceSpec.lattice((1, 1))
+    spec = LatticeSpace((1, 1))
     outcome = st.one_of(
         st.tuples(st.integers(0, colors - 1), st.integers(0, 3)),
         st.tuples(st.sampled_from([-1, colors]), st.integers(0, 3)),
@@ -660,7 +663,7 @@ def test_both_paths_record_a_fiber_outside_the_lattice_as_errors():
     # axis 0 is unit-step but the staircase scales it by 2: odd fibers raise
     # SpaceError, per point on the pointwise path and per fiber on the runs
     scheme = staircase_cover(1, 2, dim=2)
-    spec = SpaceSpec.lattice((1, 2, 1, 1))
+    spec = LatticeSpace((1, 2, 1, 1))
     w = Window.make(axis_boxes={0: (-2, 2), 1: (-2, 2), 2: (0, 100),
                                 3: (0, 0)})
     a = verify_cover(scheme, spec, w, mode="pointwise")
@@ -677,7 +680,7 @@ def test_run_path_needs_a_unit_step_on_the_moving_axis():
     # on 2Z the run path would count and probe every integer t, including
     # the odd ones the lattice does not hold
     scheme = staircase_cover(1, 2, dim=2, height_interval=(1, 1))
-    spec = SpaceSpec.lattice((2, 2, 2, 1))
+    spec = LatticeSpace((2, 2, 2, 1))
     w = Window.make(axis_boxes={0: (-8, 8), 1: (-8, 8),
                                 2: (1, 181), 3: (1, 1)})
     with pytest.raises(VerifyError, match="unit-step lattice axis"):
@@ -701,7 +704,7 @@ def test_auto_refuses_a_long_non_unit_moving_axis(t_hi):
     # past the threshold neither path fits: enumerating a 2Z axis of 10^9
     # integers would build the whole window, and runs would miscount it
     scheme = staircase_cover(1, 2, dim=2, height_interval=(1, 1))
-    spec = SpaceSpec.lattice((2, 2, 2, 1))
+    spec = LatticeSpace((2, 2, 2, 1))
     w = Window.make(axis_boxes={0: (-2, 2), 1: (-2, 2), 2: (0, t_hi),
                                 3: (1, 1)})
     with pytest.raises(VerifyError, match="too long to enumerate"):
@@ -716,8 +719,8 @@ def test_oracle_outcome_round_trips_through_json():
     body = _json.loads(_json.dumps(out.to_json()))
     assert body["status"] == out.status
     assert body["assignment"] == [list(row) for row in out.assignment]
-    rep = verify_cover(assignment_scheme(out, 2, 6, 1),
-                       SpaceSpec.lattice((1,)), Window.make(box=((0, 5),)))
+    rep = verify_cover(assignment_scheme(out),
+                       LatticeSpace((1,)), Window.make(box=((0, 5),)))
     assert rep.passed
 
 
@@ -727,7 +730,7 @@ def test_oracle_outcome_round_trips_through_json():
 
 MIXED_WINDOW = Window.make(axis_boxes={0: (-30, 30), 1: (-30, 30),
                                        2: (-8, 8)})
-MIXED_SPEC = SpaceSpec.lattice((1, 1, 4))
+MIXED_SPEC = LatticeSpace((1, 1, 4))
 
 
 def _mutant(scheme, classify=None, separation=None, bound=None,
@@ -779,7 +782,7 @@ def test_mixed_grid_narrowed_separator_fails():
 
 STAIR_WINDOW = Window.make(axis_boxes={0: (-16, 16), 1: (-16, 16),
                                       2: (0, 180), 3: (1, 1)})
-STAIR_SPEC = SpaceSpec.lattice((2, 2, 1, 1))
+STAIR_SPEC = LatticeSpace((2, 2, 1, 1))
 
 
 def _staircase():
@@ -857,7 +860,7 @@ def _separation_raised_by_one_fails(scheme, spec, w, color, separation):
 def test_singleton_separation_raised_by_one_fails():
     # levels 3 and 4 of the doubling tower: the closest cells are the two
     # origins, 3 apart by the level penalty alone
-    spec = SpaceSpec.tower("pow2")
+    spec = TowerSpace("pow2")
     rep = _separation_raised_by_one_fails(singleton_cover(spec, 2), spec,
                                           TOWER_WINDOW, 0, 3)
     assert rep.verdict == "pass" and rep.points_seen == 28
@@ -865,13 +868,14 @@ def test_singleton_separation_raised_by_one_fails():
 
 def test_product_square_separation_raised_by_one_fails():
     _separation_raised_by_one_fails(
-        product_square_cover(1, 2), SpaceSpec.product_of_towers("pow2"),
+        product_square_cover(1, 2),
+        ProductSpace(TowerSpace("pow2"), TowerSpace("pow2")),
         PRODUCT_WINDOW, 0, 1)
 
 
 def test_shift_union_separation_raised_by_one_fails():
     _separation_raised_by_one_fails(
-        shift_union_cover(2, 2), SpaceSpec.shift_union(), SHIFT_WINDOW, 0, 2)
+        shift_union_cover(2, 2), ShiftUnionSpace(), SHIFT_WINDOW, 0, 2)
 
 
 # Grid, fiber-product and omega mutants: each reference window measures the
@@ -890,7 +894,7 @@ def _bound_lowered_by_one_fails(scheme, spec, w, color, bound):
 
 def test_grid_bound_lowered_by_one_fails():
     # width-3 boxes have diameter 2 under the max metric
-    _bound_lowered_by_one_fails(grid_cover(2, 3), SpaceSpec.lattice((1, 1)),
+    _bound_lowered_by_one_fails(grid_cover(2, 3), LatticeSpace((1, 1)),
                                 Window.make(box=(-6, 6)), 3, 2)
 
 
@@ -898,7 +902,7 @@ def test_fiber_product_separation_raised_by_one_fails():
     # above threshold 1 the declared separation is min(5, 1 + 1) = 2
     rep = _separation_raised_by_one_fails(
         fiber_product_cover(grid_cover(1, 5), 1),
-        SpaceSpec.tower_with_factor("pow2", 1),
+        TowerSpace("pow2", 1),
         Window.make(levels=(2, 3), box=(-8, 8)), 0, 2)
     assert rep.verdict == "pass"
 
@@ -906,5 +910,5 @@ def test_fiber_product_separation_raised_by_one_fails():
 def test_omega_grid_color_bound_lowered_by_one_fails():
     # color 4 is the first flattened grid color: bound max(r - 1, 3, 1) = 4
     _bound_lowered_by_one_fails(omega_cover(3, 5),
-                                SpaceSpec.tower_with_factor("pow2", 1),
+                                TowerSpace("pow2", 1),
                                 Window.make(levels=(1, 5), box=(-8, 8)), 4, 4)
