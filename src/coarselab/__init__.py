@@ -42,6 +42,7 @@ from .spaces import (
 from .verify import (
     BudgetExceeded,
     ControlReport,
+    MultiFiberCell,
     OracleOutcome,
     VerificationReport,
     VerifyError,

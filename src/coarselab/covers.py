@@ -313,7 +313,15 @@ def staircase_cover(n: int, r: int, dim: int | None = None,
     scaled point it validated together with its run base phase*(r+n):
     `fiber_runs` computes the base once per fiber and the run-path probes of
     that fiber reuse it.  The memo is exact because both the validation and
-    the phase are pure functions of x.
+    the phase are pure functions of x.  Both functions put the memo's own
+    tuple in their cell keys, so a run-path probe's key is the very object
+    in the claim it is compared with.
+
+    `classify` divides t - base by the period once and reads the color from
+    the remainder against the bound period - n; the axis counts, the slice
+    and the bounds are bound once per scheme.  `fiber_runs` locates the run
+    holding its first point the same way and then steps from run end to run
+    end.
     """
     if r <= n:
         raise CoverError("requires r > n")
@@ -332,7 +340,12 @@ def staircase_cover(n: int, r: int, dim: int | None = None,
     weights = [2 ** (r * j) for j in range(dim)]
     weight_sum = sum(2 ** (r * j) for j in range(1, dim + 1))
     period = weight_sum * (r + n)
-    long_step = period - n - 1
+    long_end = period - n
+    long_step = long_end - 1
+    short_step = n + 1
+    axes = dim + 2
+    scaled = slice(dim)
+    h_axis = dim + 1
     last_x: tuple[int, ...] | None = None
     last_base = 0
 
@@ -352,27 +365,27 @@ def staircase_cover(n: int, r: int, dim: int | None = None,
         last_x, last_base = tuple(x), total * (r + n)
         return last_base
 
-    def cell_of(base: int, t: int) -> tuple[int, int]:
-        """Return (color, k) for the run containing t on a fiber whose run
-        grid starts at base: long run k is base+k*period+1 ..
-        base+(k+1)*period-n-1 and short run k is base+k*period-n ..
-        base+k*period."""
-        k, m = divmod(t - base, period)
-        if m == 0:
-            return SHORT_COLOR, k
-        if m < period - n:
-            return LONG_COLOR, k
-        return SHORT_COLOR, k + 1
-
     def classify(p) -> "tuple[int, CellKey] | None":
-        if len(p) != dim + 2:
-            raise SpaceError(f"staircase point needs {dim + 2} axes")
-        x = p[:dim]
-        base = last_base if x == last_x else base_of(x)
-        if not (h_lo <= p[dim + 1] <= h_hi):
+        # t - base = k*period + m: m == 0 is short run k's last point, m in
+        # [1, period-n) long run k, and m in [period-n, period) short run
+        # k+1
+        if len(p) != axes:
+            raise SpaceError(f"staircase point needs {axes} axes")
+        x = p[scaled]
+        if x == last_x:
+            x, base = last_x, last_base
+        else:
+            base = base_of(x)
+        if not h_lo <= p[h_axis] <= h_hi:
             return None
-        color, k = cell_of(base, p[dim])
-        return (color, (x, k))
+        t = p[dim] - base
+        k = t // period
+        m = t - k * period
+        if m == 0:
+            return SHORT_COLOR, (x, k)
+        if m < long_end:
+            return LONG_COLOR, (x, k)
+        return SHORT_COLOR, (x, k + 1)
 
     def fiber_runs(fiber: tuple, lo: int, hi: int):
         """Maximal runs of constant (color, cell) on the moving axis for the
@@ -382,24 +395,28 @@ def staircase_cover(n: int, r: int, dim: int | None = None,
         x, h = tuple(fiber[:dim]), fiber[dim]
         if not (h_lo <= h <= h_hi):
             return [(lo, hi, None, None)]
-        base = base_of(x)
-        # only the first run goes through cell_of; from its end the runs
-        # alternate, a long run ending period-n-1 after a short one and the
-        # next short run n+1 after that
-        color, k = cell_of(base, lo)
-        if color == SHORT_COLOR:
-            end = base + k * period
+        # the run holding lo comes from classify's formula; from its end the
+        # runs alternate, a long run ending period-n-1 after a short one and
+        # the next short run n+1 after that
+        k, m = divmod(lo - base_of(x), period)
+        x = last_x  # equal to x: the tuple classify's keys hold on this fiber
+        end = lo - m
+        if m == 0:
+            color = SHORT_COLOR
+        elif m < long_end:
+            color, end = LONG_COLOR, end + long_step
         else:
-            end = base + (k + 1) * period - n - 1
+            color, k, end = SHORT_COLOR, k + 1, end + period
         runs = []
-        t = lo
-        while t <= hi:
-            runs.append((t, min(end, hi), color, (x, k)))
-            t = end + 1
+        while end < hi:
+            runs.append((lo, end, color, (x, k)))
+            lo = end + 1
             if color == SHORT_COLOR:
                 color, end = LONG_COLOR, end + long_step
             else:
-                color, k, end = SHORT_COLOR, k + 1, end + n + 1
+                color, k, end = SHORT_COLOR, k + 1, end + short_step
+        if lo <= hi:
+            runs.append((lo, hi, color, (x, k)))
         return runs
 
     h_extent = max(1, h_hi - h_lo)

@@ -10,9 +10,9 @@ exist: the pointwise path enumerates every window point and groups it by the
 scheme's classification, while the run path (for schemes that can describe
 their cells as maximal runs along one long axis) validates the reported runs
 against the pointwise classifier at their endpoints and midpoints and then
-measures from the run arithmetic.  It keeps no record per cell: as each
-fiber finishes, the fiber is appended to the run layout of each of its
-cells, so cells are grouped by layout; a layout whose fibers form a product
+measures from the run arithmetic.  It keeps no record per cell beyond
+the hash of its key: as each fiber finishes, the fiber is appended to the
+run layout of each of its cells, so cells are grouped by layout; a layout whose fibers form a product
 of per-axis values is measured as one class, and one whose fibers are no
 product as one class per fiber.  Both paths count a point whose color lies
 outside [0, colors) as an error.  On windows small enough for both, the two
@@ -59,6 +59,11 @@ class VerifyError(RuntimeError):
 
 class BudgetExceeded(VerifyError):
     """The window is larger than the allowed enumeration budget."""
+
+
+class MultiFiberCell(VerifyError):
+    """A cell reaches over more than one fiber, which the run path cannot
+    measure."""
 
 
 RUN_AXIS_THRESHOLD = 4096  # moving-axis extents beyond this prefer the run path
@@ -332,7 +337,10 @@ def verify_cover(s: CoverScheme, spec: SpaceSpec, w: Window, *,
     `mode` picks the measurement path: "pointwise" enumerates every point,
     "runs" uses the scheme's run description of its cells (validated against
     the pointwise classifier at run endpoints and midpoints), and "auto"
-    chooses runs only when the moving axis is too long to enumerate.
+    chooses runs only when the moving axis is too long to enumerate.  When
+    "auto" meets a cell that reaches over two fibers on the run path, it
+    enumerates the window pointwise instead if `point_budget` is set and
+    holds the whole window, and raises `MultiFiberCell` otherwise.
     """
     if mode not in ("auto", "pointwise", "runs"):
         raise VerifyError(f"unknown mode {mode!r}")
@@ -354,15 +362,20 @@ def verify_cover(s: CoverScheme, spec: SpaceSpec, w: Window, *,
             f"{spec.axis_steps[s.moving_axis]}: too long to enumerate and "
             f"the run path needs a unit-step lattice axis; use "
             f"mode='pointwise' to enumerate it")
-    use_runs = runs_possible and (mode == "runs" or long_axis)
-    if not use_runs:
-        size = spec.size(w)
-        if point_budget is not None and size > point_budget:
-            raise BudgetExceeded(
-                f"window holds {size} points, budget is {point_budget}"
-            )
-        return _verify_pointwise(s, spec, w, max_uncovered_listed)
-    return _verify_runs(s, spec, w, max_uncovered_listed, point_budget)
+    if runs_possible and (mode == "runs" or long_axis):
+        try:
+            return _verify_runs(s, spec, w, max_uncovered_listed,
+                                point_budget)
+        except MultiFiberCell:
+            if (mode == "runs" or point_budget is None
+                    or spec.size(w) > point_budget):
+                raise
+    size = spec.size(w)
+    if point_budget is not None and size > point_budget:
+        raise BudgetExceeded(
+            f"window holds {size} points, budget is {point_budget}"
+        )
+    return _verify_pointwise(s, spec, w, max_uncovered_listed)
 
 
 def _moving_extent(s: CoverScheme, w: Window) -> int:
@@ -445,7 +458,8 @@ def _verify_pointwise(s, spec, w, max_listed) -> VerificationReport:
                           max_listed)
 
 
-def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
+def _verify_runs(s, spec, w, max_listed, point_budget,
+                 exact_keys=False) -> VerificationReport:
     mov = s.moving_axis
     t_lo, t_hi = w.axis_box(mov)
     fiber_axes = [i for i in range(len(spec.axis_steps)) if i != mov]
@@ -461,8 +475,13 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
             f"window holds {fiber_count} fibers, budget is {point_budget}"
         )
 
-    # per color: the keys of finished fibers, and {layout: [fiber, ...]}
-    finished: dict[int, set] = {c: set() for c in range(s.colors)}
+    # per color: {hash of a key: number of the first fiber that met it} (the
+    # key itself under exact_keys), and {layout: [fiber, ...]}.  A dict of
+    # ints holds nothing the garbage collector traces, and each fiber's keys
+    # die with the fiber.  A hash met again on a later fiber comes from the
+    # same key, a cell on two fibers, or from another key; only a pass on
+    # the keys themselves tells which.
+    owners: dict[int, dict] = {c: {} for c in range(s.colors)}
     by_layout: dict[int, dict] = {c: {} for c in range(s.colors)}
     uncovered: list = []
     uncovered_total = 0
@@ -472,10 +491,10 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
     span = t_hi - t_lo + 1
 
     classify = s.classify
-    for fiber in itertools.product(*value_lists):
-        head, tail = fiber[:mov], fiber[mov:]
+    fiber_runs = s.fiber_runs
+    for fiber_no, fiber in enumerate(itertools.product(*value_lists)):
         try:
-            runs = s.fiber_runs(fiber, t_lo, t_hi)
+            runs = fiber_runs(fiber, t_lo, t_hi)
         except SpaceError as exc:
             # every point of the fiber is an error, as on the pointwise path
             errors.append(f"{fiber!r}: {exc}")
@@ -483,6 +502,7 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
             error_total += span
             continue
         layouts: dict[tuple, tuple] = {}  # (color, key) -> this fiber's runs
+        point = [*fiber[:mov], t_lo, *fiber[mov:]]  # moving axis set per probe
         expected = t_lo
         for t0, t1, color, key in runs:
             if t0 != expected or t1 < t0 or t1 > t_hi:
@@ -490,49 +510,60 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
                     f"fiber {fiber}: runs do not tile [{t_lo},{t_hi}]"
                 )
             expected = t1 + 1
+            point[mov] = t0
+            first = tuple(point)
             if color is None:
                 uncovered_total += t1 - t0 + 1
                 if len(uncovered) < max_listed:
-                    uncovered.append(head + (t0,) + tail)
+                    uncovered.append(first)
                 continue
             # both endpoints and the midpoint, each once, in ascending order
             claim = (color, key)
-            probe = classify(head + (t0,) + tail)
+            probe = classify(first)
             if probe != claim:
                 raise _disagreement(claim, t0, probe)
             if t1 > t0:
                 if t1 - t0 >= 2:
-                    mid = (t0 + t1) // 2
-                    probe = classify(head + (mid,) + tail)
+                    point[mov] = mid = (t0 + t1) // 2
+                    probe = classify(tuple(point))
                     if probe != claim:
                         raise _disagreement(claim, mid, probe)
-                probe = classify(head + (t1,) + tail)
+                point[mov] = t1
+                probe = classify(tuple(point))
                 if probe != claim:
                     raise _disagreement(claim, t1, probe)
-            done = finished.get(color)
-            if done is None:
+            owner_of = owners.get(color)
+            if owner_of is None:
                 # every point of the run is an error, as on the pointwise path
-                errors.append(f"{head + (t0,) + tail!r}: color {color} out "
-                              f"of range")
+                errors.append(f"{first!r}: color {color} out of range")
                 error_total += t1 - t0 + 1
+                continue
+            mark = key if exact_keys else hash(key)
+            owner = owner_of.get(mark)
+            if owner is None:
+                owner_of[mark] = fiber_no
+                layouts[claim] = ((t0, t1),)
                 continue
             cell = layouts.get(claim)
             if cell is not None:
                 layouts[claim] = cell + ((t0, t1),)
-            elif key in done:
-                raise VerifyError(
+            elif owner == fiber_no:
+                # another key of this fiber has the same hash
+                layouts[claim] = ((t0, t1),)
+            elif not exact_keys:
+                return _verify_runs(s, spec, w, max_listed, point_budget,
+                                    exact_keys=True)
+            else:
+                raise MultiFiberCell(
                     "run-path verification needs single-fiber cells; "
                     'use mode="pointwise" for this scheme'
                 )
-            else:
-                layouts[claim] = ((t0, t1),)
         if expected != t_hi + 1:
             raise VerifyError(
                 f"fiber {fiber}: runs stop at {expected - 1} before {t_hi}"
             )
         points_seen += span
-        for (color, key), layout in layouts.items():
-            finished[color].add(key)
+        for (color, _), layout in layouts.items():
             by_layout[color].setdefault(layout, []).append(fiber)
 
     return _finish_report(s, w, by_layout, _measure_color_runs, uncovered,

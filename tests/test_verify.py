@@ -1,8 +1,10 @@
 """The verification engine against independent brute-force measurement, plus
 witness search, coarse controls and the exhaustive 1-D search."""
 
+import dataclasses
 import itertools
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coarselab.covers import (
+    LONG_COLOR,
     SHORT_COLOR,
     CoverScheme,
     _offset_band_classifier,
@@ -39,6 +42,7 @@ from coarselab.spaces import (
 from coarselab.verify import (
     RUN_AXIS_THRESHOLD,
     BudgetExceeded,
+    MultiFiberCell,
     VerifyError,
     _finish_report,
     _measure_color_points,
@@ -232,22 +236,101 @@ def test_budget_guard():
                      Window.make(box=(-500, 500)), point_budget=1000)
 
 
-def test_run_path_rejects_a_cell_spread_over_two_fibers():
+def _shared_cell_scheme(bound):
     # every fiber reports its whole line as one run of the same cell
     def fiber_runs(fiber, t_lo, t_hi):
         return [(t_lo, t_hi, 0, "shared")]
 
-    scheme = CoverScheme(
+    return CoverScheme(
         classify=lambda p: (0, "shared"), colors=1,
-        declared_separation={0: 1}, declared_bound={0: 10},
+        declared_separation={0: 1}, declared_bound={0: bound},
+        moving_axis=1, fiber_runs=fiber_runs,
+    )
+
+
+def test_run_path_rejects_a_cell_spread_over_two_fibers():
+    scheme = _shared_cell_scheme(10)
+    spec = LatticeSpace((1, 1))
+    w = Window.make(box=((0, 1), (0, 9)))
+    with pytest.raises(MultiFiberCell,
+                       match='single-fiber cells; use mode="pointwise"'):
+        verify_cover(scheme, spec, w, mode="runs")
+    assert issubclass(MultiFiberCell, VerifyError)
+    assert verify_cover(scheme, spec, w, mode="pointwise").passed
+
+
+def _cross_fiber_keys(f0, t):
+    return -1 - f0  # -1 on fiber 0, -2 on fiber 1
+
+
+def _one_fiber_keys(f0, t):
+    return (f0, -1 if t < 5 else -2)  # two cells on each fiber
+
+
+# 2 fibers of 2 runs take 12 probes.  On the cross-fiber keys the first
+# pass stops after fiber 1's first run (9 probes) and a pass on the keys
+# themselves follows; the one-fiber keys are told apart by each fiber's own
+# claims in one pass.
+@pytest.mark.parametrize("key_of, cells, probe_count", [
+    (_cross_fiber_keys, 2, 9 + 12),
+    (_one_fiber_keys, 4, 12),
+])
+def test_run_path_tells_apart_keys_that_share_a_hash(key_of, cells,
+                                                     probe_count):
+    # hash(-1) == hash(-2), so each scheme's keys collide in pairs: across
+    # the two fibers, or within each fiber
+    assert hash(-1) == hash(-2) and hash((0, -1)) == hash((0, -2))
+    probes = []
+
+    def classify(p):
+        probes.append(p)
+        return (0, key_of(p[0], p[1]))
+
+    def fiber_runs(fiber, t_lo, t_hi):
+        return [(t_lo, 4, 0, key_of(fiber[0], 4)),
+                (5, t_hi, 0, key_of(fiber[0], 5))]
+
+    scheme = CoverScheme(
+        classify=classify, colors=1,
+        declared_separation={0: 1}, declared_bound={0: 9},
         moving_axis=1, fiber_runs=fiber_runs,
     )
     spec = LatticeSpace((1, 1))
     w = Window.make(box=((0, 1), (0, 9)))
-    with pytest.raises(VerifyError,
-                       match='single-fiber cells; use mode="pointwise"'):
-        verify_cover(scheme, spec, w, mode="runs")
-    assert verify_cover(scheme, spec, w, mode="pointwise").passed
+    a = verify_cover(scheme, spec, w, mode="pointwise")
+    probes.clear()
+    b = verify_cover(scheme, spec, w, mode="runs")
+    assert {**a.to_json(), "mode": "runs"} == b.to_json()
+    assert b.verdict == "pass" and b.record(0).cells_seen == cells
+    assert len(probes) == probe_count
+
+
+# two fibers of RUN_AXIS_THRESHOLD + 1 points: "auto" picks the run path
+LONG_SHARED_WINDOW = Window.make(box=((0, 1), (0, RUN_AXIS_THRESHOLD)))
+LONG_SHARED_POINTS = 2 * (RUN_AXIS_THRESHOLD + 1)
+
+
+def test_auto_enumerates_multi_fiber_cells_inside_the_point_budget():
+    scheme = _shared_cell_scheme(RUN_AXIS_THRESHOLD)
+    spec = LatticeSpace((1, 1))
+    rep = verify_cover(scheme, spec, LONG_SHARED_WINDOW,
+                       point_budget=LONG_SHARED_POINTS)
+    assert (rep.mode, rep.verdict, rep.points_seen) == \
+        ("pointwise", "pass", LONG_SHARED_POINTS)
+    assert rep.to_json() == verify_cover(scheme, spec, LONG_SHARED_WINDOW,
+                                         mode="pointwise").to_json()
+
+
+@pytest.mark.parametrize("mode, budget", [
+    ("auto", None),                     # no budget to enumerate within
+    ("auto", LONG_SHARED_POINTS - 1),   # holds the fibers, not the points
+    ("runs", LONG_SHARED_POINTS),       # the run path was asked for
+])
+def test_multi_fiber_cells_raise_outside_the_auto_budget(mode, budget):
+    scheme = _shared_cell_scheme(RUN_AXIS_THRESHOLD)
+    with pytest.raises(MultiFiberCell):
+        verify_cover(scheme, LatticeSpace((1, 1)), LONG_SHARED_WINDOW,
+                     mode=mode, point_budget=budget)
 
 
 def test_both_paths_count_an_out_of_range_color_as_errors():
@@ -831,6 +914,65 @@ def test_staircase_runs_ending_early_disagree_with_classify():
         verify_cover(scheme, STAIR_SPEC, STAIR_WINDOW, mode="runs")
 
 
+def test_staircase_middle_probe_disagreement_fails():
+    # classify moves only the midpoint of one long run to the short color;
+    # the run's ends still agree with its claim
+    good = _staircase()
+    fiber = (0, 0, 1)
+    t0, t1, _, key = next(run for run in good.fiber_runs(fiber, 0, 180)
+                          if run[2] == LONG_COLOR)
+    mid = (t0 + t1) // 2
+    moved = (0, 0, mid, 1)
+
+    def classify(p):
+        return (SHORT_COLOR, key) if p == moved else good.classify(p)
+
+    scheme = dataclasses.replace(good, classify=classify)
+    message = (f"run claim (0, {key}) at t={mid} disagrees with classify "
+               f"-> (1, {key})")
+    with pytest.raises(VerifyError, match=re.escape(message)):
+        verify_cover(scheme, STAIR_SPEC, STAIR_WINDOW, mode="runs")
+
+
+def test_run_path_probes_each_run_at_both_ends_and_its_midpoint():
+    # heights 0 and 2 lie outside the scheme's height interval: their fibers
+    # are one uncovered run each and get no probe
+    good = _staircase()
+    w = Window.make(axis_boxes={0: (-4, 4), 1: (-4, 4), 2: (0, 130),
+                                3: (0, 2)})
+    probes = []
+    for fiber in itertools.product(range(-4, 5, 2), range(-4, 5, 2),
+                                   range(3)):
+        for t0, t1, color, _ in good.fiber_runs(fiber, 0, 130):
+            if color is not None:
+                probes.append(1 + (t1 > t0) + (t1 - t0 >= 2))
+    assert set(probes) == {1, 2, 3}
+    calls = []
+
+    def classify(p):
+        calls.append(p)
+        return good.classify(p)
+
+    scheme = dataclasses.replace(good, classify=classify)
+    rep = verify_cover(scheme, STAIR_SPEC, w, mode="runs")
+    assert rep.uncovered_total == 2 * 25 * 131
+    assert len(calls) == sum(probes)
+
+
+def test_one_staircase_object_reports_a_second_window_as_a_fresh_one():
+    # both windows hold every phase of the scheme; the second moves every
+    # axis box, so each fiber's runs start and end elsewhere
+    used = _staircase()
+    w2 = Window.make(axis_boxes={0: (-10, 22), 1: (-22, 6), 2: (37, 301),
+                                 3: (1, 1)})
+    verify_cover(used, STAIR_SPEC, STAIR_WINDOW, mode="runs")
+    got = verify_cover(used, STAIR_SPEC, w2, mode="runs")
+    want = verify_cover(_staircase(), STAIR_SPEC, w2, mode="runs")
+    assert got.to_json() == want.to_json()
+    assert got.per_color == verify_cover(_staircase(), STAIR_SPEC, w2,
+                                         mode="pointwise").per_color
+
+
 # The next mutants break schemes on the tower, product and shift-union
 # spaces, whose cells are measured on padded tower rows, joined factor rows
 # and l1 shift rows.  Each reference window measures the mutated separation
@@ -912,3 +1054,13 @@ def test_omega_grid_color_bound_lowered_by_one_fails():
     _bound_lowered_by_one_fails(omega_cover(3, 5),
                                 TowerSpace("pow2", 1),
                                 Window.make(levels=(1, 5), box=(-8, 8)), 4, 4)
+
+
+@pytest.mark.parametrize("color", [2, 3])
+def test_omega_line_color_separation_raised_by_one_fails(color):
+    # from level r = 5 up, colors 2 and 3 tile the line factor with one cell
+    # per level and scaled point: the cells at the origins of levels 5 and 6
+    # with one line coordinate are r apart by the level penalty alone
+    _separation_raised_by_one_fails(omega_cover(3, 5), TowerSpace("pow2", 1),
+                                    Window.make(levels=(3, 6), box=(-8, 8)),
+                                    color, 5)
