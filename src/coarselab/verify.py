@@ -10,13 +10,15 @@ exist: the pointwise path enumerates every window point and groups it by the
 scheme's classification, while the run path (for schemes that can describe
 their cells as maximal runs along one long axis) validates the reported runs
 against the pointwise classifier at their endpoints and midpoints and then
-measures from the run arithmetic.  It keeps no record per cell beyond
-the hash of its key: as each fiber finishes, the fiber is appended to the
-run layout of each of its cells, so cells are grouped by layout; a layout whose fibers form a product
-of per-axis values is measured as one class, and one whose fibers are no
-product as one class per fiber.  Both paths count a point whose color lies
-outside [0, colors) as an error.  On windows small enough for both, the two
-paths are required to agree, and the tests enforce that.
+measures from the run arithmetic.  It keeps no record per cell beyond two
+ints in a flat array, the hash of its claim and its fiber's number: as each
+fiber finishes, the fiber is appended to the run layout of each of its
+cells, so cells are grouped by layout, and once the window is done the
+hashes are checked for a cell on two fibers.  A layout whose fibers form a
+product of per-axis values is measured as one class, and one whose fibers
+are no product as one class per fiber.  Both paths count a point whose
+color lies outside [0, colors) as an error.  On windows small enough for
+both, the two paths are required to agree, and the tests enforce that.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import bisect
 import itertools
 import math
 import operator
+from array import array
+from collections import defaultdict
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -67,6 +71,7 @@ class MultiFiberCell(VerifyError):
 
 
 RUN_AXIS_THRESHOLD = 4096  # moving-axis extents beyond this prefer the run path
+MARK_BUCKETS = 64  # a power of two: a hash picks its bucket by its low bits
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +342,11 @@ def verify_cover(s: CoverScheme, spec: SpaceSpec, w: Window, *,
     `mode` picks the measurement path: "pointwise" enumerates every point,
     "runs" uses the scheme's run description of its cells (validated against
     the pointwise classifier at run endpoints and midpoints), and "auto"
-    chooses runs only when the moving axis is too long to enumerate.  When
-    "auto" meets a cell that reaches over two fibers on the run path, it
-    enumerates the window pointwise instead if `point_budget` is set and
-    holds the whole window, and raises `MultiFiberCell` otherwise.
+    chooses runs only when the moving axis is too long to enumerate.  The
+    run path finds a cell that reaches over two fibers once its pass over
+    the window is done.  Under "auto" it then enumerates the window
+    pointwise instead if `point_budget` is set and holds the whole window,
+    and raises `MultiFiberCell` otherwise.
     """
     if mode not in ("auto", "pointwise", "runs"):
         raise VerifyError(f"unknown mode {mode!r}")
@@ -475,14 +481,16 @@ def _verify_runs(s, spec, w, max_listed, point_budget,
             f"window holds {fiber_count} fibers, budget is {point_budget}"
         )
 
-    # per color: {hash of a key: number of the first fiber that met it} (the
-    # key itself under exact_keys), and {layout: [fiber, ...]}.  A dict of
-    # ints holds nothing the garbage collector traces, and each fiber's keys
-    # die with the fiber.  A hash met again on a later fiber comes from the
-    # same key, a cell on two fibers, or from another key; only a pass on
-    # the keys themselves tells which.
-    owners: dict[int, dict] = {c: {} for c in range(s.colors)}
-    by_layout: dict[int, dict] = {c: {} for c in range(s.colors)}
+    # per color: {layout: [fiber, ...]}; and MARK_BUCKETS buckets of marks,
+    # two per claim of each finished fiber: the hash of the claim (the claim
+    # itself under exact_keys) and the fiber's number.  The buckets are flat
+    # int arrays, which hold no object per mark and nothing the garbage
+    # collector traces.  A hash beside two fiber numbers is looked for once,
+    # when the window is done: it comes from a claim on two fibers, or from
+    # two claims that share a hash, and only a pass on the claims themselves
+    # tells which.
+    by_layout = {c: defaultdict(list) for c in range(s.colors)}
+    marks = [[] if exact_keys else array("q") for _ in range(MARK_BUCKETS)]
     uncovered: list = []
     uncovered_total = 0
     errors: list[str] = []
@@ -492,83 +500,111 @@ def _verify_runs(s, spec, w, max_listed, point_budget,
 
     classify = s.classify
     fiber_runs = s.fiber_runs
-    for fiber_no, fiber in enumerate(itertools.product(*value_lists)):
-        try:
-            runs = fiber_runs(fiber, t_lo, t_hi)
-        except SpaceError as exc:
-            # every point of the fiber is an error, as on the pointwise path
-            errors.append(f"{fiber!r}: {exc}")
-            points_seen += span
-            error_total += span
-            continue
-        layouts: dict[tuple, tuple] = {}  # (color, key) -> this fiber's runs
-        point = [*fiber[:mov], t_lo, *fiber[mov:]]  # moving axis set per probe
-        expected = t_lo
-        for t0, t1, color, key in runs:
-            if t0 != expected or t1 < t0 or t1 > t_hi:
-                raise VerifyError(
-                    f"fiber {fiber}: runs do not tile [{t_lo},{t_hi}]"
-                )
-            expected = t1 + 1
-            point[mov] = t0
-            first = tuple(point)
-            if color is None:
-                uncovered_total += t1 - t0 + 1
-                if len(uncovered) < max_listed:
-                    uncovered.append(first)
+    fiber_no, fiber = 0, ()
+    layouts: dict[tuple, tuple] = {}  # (color, key) -> this fiber's runs
+    try:
+        for fiber_no, fiber in enumerate(itertools.product(*value_lists)):
+            layouts = {}
+            try:
+                runs = fiber_runs(fiber, t_lo, t_hi)
+            except SpaceError as exc:
+                # every point of the fiber is an error, as pointwise
+                errors.append(f"{fiber!r}: {exc}")
+                points_seen += span
+                error_total += span
                 continue
-            # both endpoints and the midpoint, each once, in ascending order
-            claim = (color, key)
-            probe = classify(first)
-            if probe != claim:
-                raise _disagreement(claim, t0, probe)
-            if t1 > t0:
-                if t1 - t0 >= 2:
-                    point[mov] = mid = (t0 + t1) // 2
+            point = [*fiber[:mov], t_lo, *fiber[mov:]]  # moving axis per probe
+            expected = t_lo
+            for t0, t1, color, key in runs:
+                if t0 != expected or t1 < t0 or t1 > t_hi:
+                    raise VerifyError(
+                        f"fiber {fiber}: runs do not tile [{t_lo},{t_hi}]"
+                    )
+                expected = t1 + 1
+                point[mov] = t0
+                first = tuple(point)
+                if color is None:
+                    uncovered_total += t1 - t0 + 1
+                    if len(uncovered) < max_listed:
+                        uncovered.append(first)
+                    continue
+                # both ends and the midpoint, each once, in ascending order
+                claim = (color, key)
+                probe = classify(first)
+                if probe != claim:
+                    raise _disagreement(claim, t0, probe)
+                if t1 > t0:
+                    if t1 - t0 >= 2:
+                        point[mov] = mid = (t0 + t1) // 2
+                        probe = classify(tuple(point))
+                        if probe != claim:
+                            raise _disagreement(claim, mid, probe)
+                    point[mov] = t1
                     probe = classify(tuple(point))
                     if probe != claim:
-                        raise _disagreement(claim, mid, probe)
-                point[mov] = t1
-                probe = classify(tuple(point))
-                if probe != claim:
-                    raise _disagreement(claim, t1, probe)
-            owner_of = owners.get(color)
-            if owner_of is None:
-                # every point of the run is an error, as on the pointwise path
-                errors.append(f"{first!r}: color {color} out of range")
-                error_total += t1 - t0 + 1
-                continue
-            mark = key if exact_keys else hash(key)
-            owner = owner_of.get(mark)
-            if owner is None:
-                owner_of[mark] = fiber_no
-                layouts[claim] = ((t0, t1),)
-                continue
-            cell = layouts.get(claim)
-            if cell is not None:
-                layouts[claim] = cell + ((t0, t1),)
-            elif owner == fiber_no:
-                # another key of this fiber has the same hash
-                layouts[claim] = ((t0, t1),)
-            elif not exact_keys:
-                return _verify_runs(s, spec, w, max_listed, point_budget,
-                                    exact_keys=True)
-            else:
-                raise MultiFiberCell(
-                    "run-path verification needs single-fiber cells; "
-                    'use mode="pointwise" for this scheme'
+                        raise _disagreement(claim, t1, probe)
+                if color not in by_layout:
+                    # every point of the run is an error, as pointwise
+                    errors.append(f"{first!r}: color {color} out of range")
+                    error_total += t1 - t0 + 1
+                    continue
+                run = ((t0, t1),)
+                cell = layouts.setdefault(claim, run)
+                if cell is not run:  # another run of a cell of this fiber
+                    layouts[claim] = cell + run
+            if expected != t_hi + 1:
+                raise VerifyError(
+                    f"fiber {fiber}: runs stop at {expected - 1} before {t_hi}"
                 )
-        if expected != t_hi + 1:
-            raise VerifyError(
-                f"fiber {fiber}: runs stop at {expected - 1} before {t_hi}"
-            )
-        points_seen += span
-        for (color, _), layout in layouts.items():
-            by_layout[color].setdefault(layout, []).append(fiber)
+            points_seen += span
+            _file(layouts, fiber, fiber_no, by_layout, marks, exact_keys)
+    except Exception:
+        # whatever the fault, a claim-by-claim check would have met a claim
+        # this fiber made before it, on a cell an earlier fiber holds, first
+        _file(layouts, fiber, fiber_no, by_layout, marks, exact_keys)
+        if not _on_two_fibers(marks):
+            raise
+    else:
+        if not _on_two_fibers(marks):
+            return _finish_report(s, w, by_layout, _measure_color_runs,
+                                  uncovered, uncovered_total, errors,
+                                  error_total, points_seen, "runs",
+                                  max_listed)
+    if not exact_keys:
+        # the hash of one claim, or of two: the claims themselves tell
+        return _verify_runs(s, spec, w, max_listed, point_budget,
+                            exact_keys=True)
+    raise MultiFiberCell(
+        "run-path verification needs single-fiber cells; "
+        'use mode="pointwise" for this scheme'
+    )
 
-    return _finish_report(s, w, by_layout, _measure_color_runs, uncovered,
-                          uncovered_total, errors, error_total, points_seen,
-                          "runs", max_listed)
+
+def _file(layouts: dict, fiber: tuple, fiber_no: int, by_layout: dict,
+          marks: list, exact_keys: bool) -> None:
+    """File each claim of a fiber's `layouts`: the fiber joins the claim's
+    run layout, and the claim's hash, or the claim itself under
+    `exact_keys`, goes into the bucket the hash picks, beside `fiber_no`."""
+    low = MARK_BUCKETS - 1
+    for claim, layout in layouts.items():
+        by_layout[claim[0]][layout].append(fiber)
+        mark = hash(claim)
+        bucket = marks[mark & low]
+        bucket.append(claim if exact_keys else mark)
+        bucket.append(fiber_no)
+
+
+def _on_two_fibers(marks: list) -> bool:
+    """Whether some bucket holds one mark beside two fiber numbers.  A fiber
+    files each of its claims once, so a mark repeated in a bucket comes from
+    two fibers, or from two claims of one fiber that share a hash."""
+    for bucket in marks:
+        found = bucket[::2]
+        distinct = len(set(found))
+        if (distinct < len(found)
+                and len(set(zip(found, bucket[1::2]))) > distinct):
+            return True
+    return False
 
 
 def _disagreement(claim: tuple, t: int, probe) -> VerifyError:

@@ -268,11 +268,11 @@ def _one_fiber_keys(f0, t):
 
 
 # 2 fibers of 2 runs take 12 probes.  On the cross-fiber keys the first
-# pass stops after fiber 1's first run (9 probes) and a pass on the keys
-# themselves follows; the one-fiber keys are told apart by each fiber's own
-# claims in one pass.
+# pass finishes the window before its marks show a hash on two fibers, and a
+# pass on the keys themselves follows; the one-fiber keys are told apart by
+# each fiber's own claims in one pass.
 @pytest.mark.parametrize("key_of, cells, probe_count", [
-    (_cross_fiber_keys, 2, 9 + 12),
+    (_cross_fiber_keys, 2, 12 + 12),
     (_one_fiber_keys, 4, 12),
 ])
 def test_run_path_tells_apart_keys_that_share_a_hash(key_of, cells,
@@ -333,6 +333,119 @@ def test_multi_fiber_cells_raise_outside_the_auto_budget(mode, budget):
                      mode=mode, point_budget=budget)
 
 
+def _two_fiber_scheme(key_0, key_1, fault):
+    """Fiber 0 is one run keyed `key_0`; fiber 1 is a run keyed `key_1` on
+    [0, 4], then a run keyed "b".  `fault` breaks fiber 1 at one run:
+    ("disagree", i) makes classify disagree with run i, ("raise", i) makes
+    classify raise on it, "short" makes fiber 1's runs stop at t=8, and
+    "no runs" makes fiber_runs raise on fiber 1."""
+    def fiber_runs(fiber, t_lo, t_hi):
+        if fiber == (0,):
+            return [(t_lo, t_hi, 0, key_0)]
+        if fault == "no runs":
+            raise ZeroDivisionError("fiber_runs broke")
+        return [(t_lo, 4, 0, key_1),
+                (5, 8 if fault == "short" else t_hi, 0, "b")]
+
+    def classify(p):
+        f, t = p
+        if f == 0:
+            return (0, key_0)
+        run = 0 if t <= 4 else 1
+        if fault == ("raise", run):
+            raise ZeroDivisionError("classify broke")
+        if fault == ("disagree", run):
+            return (0, "elsewhere")
+        return (0, key_1 if run == 0 else "b")
+
+    return CoverScheme(
+        classify=classify, colors=1,
+        declared_separation={0: 1}, declared_bound={0: 9},
+        moving_axis=1, fiber_runs=fiber_runs,
+    )
+
+
+TWO_FIBERS = Window.make(box=((0, 1), (0, 9)))
+
+
+@pytest.mark.parametrize("fault", [("disagree", 1), ("raise", 1), "short"])
+def test_a_cell_on_two_fibers_outranks_a_later_fault(fault):
+    # fiber 1's first run puts cell "a" on its second fiber before the fault
+    scheme = _two_fiber_scheme("a", "a", fault)
+    with pytest.raises(MultiFiberCell):
+        verify_cover(scheme, LatticeSpace((1, 1)), TWO_FIBERS, mode="runs")
+
+
+@pytest.mark.parametrize("key_0, key_1, fault", [
+    ("a", "a", ("disagree", 0)),   # the fault comes before the second claim
+    (-1, -2, ("disagree", 1)),     # the keys share a hash but differ
+])
+def test_a_fault_before_any_cell_on_two_fibers_stands(key_0, key_1, fault):
+    scheme = _two_fiber_scheme(key_0, key_1, fault)
+    with pytest.raises(VerifyError, match="disagrees with classify") as info:
+        verify_cover(scheme, LatticeSpace((1, 1)), TWO_FIBERS, mode="runs")
+    assert type(info.value) is VerifyError
+
+
+def test_a_fiber_whose_runs_raise_files_no_claims():
+    # fiber 0's claim on "a" must not be filed again under fiber 1
+    scheme = _two_fiber_scheme("a", "a", "no runs")
+    with pytest.raises(ZeroDivisionError, match="fiber_runs broke"):
+        verify_cover(scheme, LatticeSpace((1, 1)), TWO_FIBERS, mode="runs")
+
+
+@st.composite
+def keyed_run_schemes(draw):
+    """A scheme over 2-4 fibers whose runs draw their color and key from a
+    tiny pool: keys shared by every fiber (-1 and -2 share a hash) or local
+    to one fiber, so cells on two fibers and hash collisions are common.
+    Also returns whether a brute force finds a claim on two fibers."""
+    fibers = draw(st.integers(2, 4))
+    t_hi = draw(st.integers(0, 7))
+    colors = draw(st.integers(1, 2))
+    color = st.integers(0, colors - 1)
+    key = st.sampled_from([-1, -2, 0, (None, -1), (None, -2)])
+    runs_of = []
+    for f in range(fibers):
+        cuts = sorted(draw(st.sets(st.integers(1, t_hi), max_size=3))
+                      if t_hi else ())
+        runs = []
+        for t0, t1 in zip([0, *cuts], [c - 1 for c in cuts] + [t_hi]):
+            k = draw(key)
+            if isinstance(k, tuple):  # a key of this fiber alone
+                k = (f, k[1])
+            runs.append((t0, t1, draw(color), k))
+        runs_of.append(runs)
+    table = {(f, t): (c, k) for f, runs in enumerate(runs_of)
+             for t0, t1, c, k in runs for t in range(t0, t1 + 1)}
+    scheme = CoverScheme(
+        classify=table.__getitem__, colors=colors,
+        declared_separation={c: draw(st.integers(1, 3))
+                             for c in range(colors)},
+        declared_bound={c: draw(st.integers(1, 7)) for c in range(colors)},
+        moving_axis=1,
+        fiber_runs=lambda fiber, t_lo, t_hi: runs_of[fiber[0]],
+    )
+    claims = [{(c, k) for _, _, c, k in runs} for runs in runs_of]
+    on_two_fibers = any(a & b for a, b in itertools.combinations(claims, 2))
+    w = Window.make(box=((0, fibers - 1), (0, t_hi)))
+    return scheme, w, on_two_fibers
+
+
+@settings(deadline=None, max_examples=300)
+@given(keyed_run_schemes())
+def test_run_path_matches_pointwise_on_random_keyed_runs(case):
+    scheme, w, on_two_fibers = case
+    spec = LatticeSpace((1, 1))
+    if on_two_fibers:
+        with pytest.raises(MultiFiberCell):
+            verify_cover(scheme, spec, w, mode="runs")
+        return
+    got = verify_cover(scheme, spec, w, mode="runs")
+    want = verify_cover(scheme, spec, w, mode="pointwise")
+    assert got.to_json() == {**want.to_json(), "mode": "runs"}
+
+
 def test_both_paths_count_an_out_of_range_color_as_errors():
     # a one-color scheme that reports color 3 on every point and run
     scheme = CoverScheme(
@@ -385,8 +498,8 @@ def test_run_path_agrees_on_a_cell_of_two_runs_on_one_fiber():
 
 
 def test_run_path_memory_per_cell():
-    # the run path keeps one run layout per group of cells, not a record
-    # per cell: 34,391 staircase cells over 4,913 fibers
+    # the run path keeps one run layout per group of cells and two ints per
+    # cell, not a record per cell: 34,391 staircase cells over 4,913 fibers
     scheme = staircase_cover(2, 3, height_interval=(3, 3))
     spec = LatticeSpace((4, 4, 4, 1, 1))
     w = Window.make(axis_boxes={0: (-32, 32), 1: (-32, 32), 2: (-32, 32),
@@ -399,7 +512,7 @@ def test_run_path_memory_per_cell():
         tracemalloc.stop()
     cells = sum(r.cells_seen for r in rep.per_color)
     assert (rep.verdict, cells) == ("pass", 34391)
-    assert peak / cells < 200
+    assert peak / cells < 60
 
 
 def test_report_json_round_trip_fields():
