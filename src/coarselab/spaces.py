@@ -17,7 +17,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterator, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence
 
 
 class SpaceError(ValueError):
@@ -310,6 +310,12 @@ class SpaceSpec:
     def distance(self, p, q) -> int:
         return self.row_metric(*self.rows([p, q]))
 
+    def point_rows(self, points: Iterable) -> Iterator[tuple]:
+        """(point, row) for each of `points`.  A row takes its shape from
+        every point in play, so the points are listed first."""
+        points = list(points)
+        return zip(points, self.rows(points))
+
     def size(self, w: Window) -> int:
         """Number of points `iter(w)` yields, without enumerating."""
         return sum(math.prod(map(len, axes)) for _, axes in self._blocks(w))
@@ -490,6 +496,11 @@ class LatticeSpace(SpaceSpec):
     def rows(self, points: Sequence[tuple]) -> Sequence[tuple]:
         """The input list itself: a lattice point is already its row."""
         return points
+
+    def point_rows(self, points: Iterable[tuple]) -> Iterator[tuple]:
+        """(point, point) for each of `points`, streamed: a lattice point is
+        already its row, so the points are never listed."""
+        return zip(*itertools.tee(points))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ import operator
 from array import array
 from collections import defaultdict
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .covers import CoverScheme
 from .spaces import space_distance  # noqa: F401  (kept bound, see below)
@@ -140,11 +140,15 @@ class VerificationReport:
 # pointwise measurement
 # ---------------------------------------------------------------------------
 #
-# Cells are measured on the space's rows (`SpaceSpec.rows`), computed once
-# for the whole window so that every row has one shape.  A cell's summary is
-# its bounding box of rows.  Under the max metric (lattice, tower and product
-# rows) the diameter of ANY row set equals its widest box extent; under the
-# l1 metric (shift-union rows) diameters are measured pairwise.
+# Cells are measured on the space's rows (`SpaceSpec.point_rows`), which all
+# have one shape: a lattice point is its own row, while tower, product and
+# shift-union rows take their shape from every point of the window.  A cell
+# keeps its rows as one flat list of coordinates, `dim` per row, so a window
+# holds no tuple per point.  A cell's summary is its bounding box of rows,
+# taken from the per-axis slices `flat[k::dim]`.  Under the max metric
+# (lattice, tower and product rows) the diameter of ANY row set equals its
+# widest box extent; under the l1 metric (shift-union rows) diameters are
+# measured pairwise, on the same slices as columns.
 #
 # Separation rests on one fact: the gap between two points, or two boxes, on
 # any single axis never exceeds their distance under either metric.  So the
@@ -163,8 +167,17 @@ def _gap(a: tuple[int, int], b: tuple[int, int]) -> int:
     return 0
 
 
-def _box(rows: list) -> list[tuple[int, int]]:
-    return [(min(vals), max(vals)) for vals in zip(*rows)]
+def _columns(flat: list, dim: int) -> list[list]:
+    return [flat[k::dim] for k in range(dim)]
+
+
+def _rows(flat: list, dim: int) -> Iterator[tuple]:
+    """The row tuples of a flat cell, in the order they were filed."""
+    return zip(*[iter(flat)] * dim)
+
+
+def _box(flat: list, dim: int) -> list[tuple[int, int]]:
+    return [(min(col), max(col)) for col in _columns(flat, dim)]
 
 
 def _near(cand, boxes: list, box_a, best, axes) -> list:
@@ -183,10 +196,10 @@ def _row_distance(l1: bool):
     return l1_distance if l1 else lattice_max_distance
 
 
-def _min_separation_points(cells: list[list], boxes: list,
+def _min_separation_points(cells: list[list], boxes: list, dim: int,
                            l1: bool) -> int | None:
-    """Exact minimum distance between distinct cells of rows, by sweep and
-    prune.
+    """Exact minimum distance between distinct cells, each a flat list of
+    rows of `dim` coordinates, by sweep and prune.
 
     `best` is the least distance measured so far; it only falls, and a pair
     is skipped only when a single-axis gap shows it is at least `best` apart,
@@ -202,7 +215,8 @@ def _min_separation_points(cells: list[list], boxes: list,
       lower bound (their max under l∞, their sum under l1); a pair whose
       bound reaches `best` is skipped.  The widest gap names the window axis
       k.
-    - *Exact step.*  Cell b's rows are sorted by coordinate k.  Each row p of
+    - *Exact step.*  Only here are row tuples rebuilt, for the two cells
+      of the pair.  Cell b's rows are sorted by coordinate k.  Each row p of
       cell a is measured only against the rows q with |q_k - p_k| < best,
       found by bisection; every other q is at least `best` from p.
     """
@@ -223,9 +237,9 @@ def _min_separation_points(cells: list[list], boxes: list,
             if (sum(gaps) if l1 else widest) >= best:
                 continue
             k = gaps.index(widest)
-            rows_b = sorted(cells[b], key=operator.itemgetter(k))
+            rows_b = sorted(_rows(cells[b], dim), key=operator.itemgetter(k))
             keys = [q[k] for q in rows_b]
-            for p in cells[a]:
+            for p in _rows(cells[a], dim):
                 x = p[k]
                 for q in rows_b[bisect.bisect_right(keys, x - best):
                                 bisect.bisect_left(keys, x + best)]:
@@ -237,14 +251,14 @@ def _min_separation_points(cells: list[list], boxes: list,
     return best
 
 
-def _diameter(rows: list, box, l1: bool) -> int:
+def _diameter(flat: list, dim: int, box, l1: bool) -> int:
     """The widest box extent under l-infinity; under l1 the largest distance
     of each row to the later rows, summed column by column."""
     if not l1:
         return max((hi - lo for lo, hi in box), default=0)
-    cols = list(zip(*rows))
+    cols = _columns(flat, dim)
     diam = 0
-    for i in range(len(rows) - 1):
+    for i in range(len(flat) // dim - 1):
         gaps = [map(abs, map(operator.sub, col[i + 1:],
                              itertools.repeat(col[i])))
                 for col in cols]
@@ -252,15 +266,17 @@ def _diameter(rows: list, box, l1: bool) -> int:
     return diam
 
 
-def _measure_color_points(cells: dict, l1: bool):
+def _measure_color_points(cells: dict, dim: int, l1: bool):
     """Return (cells_seen, max_diameter, min_separation) for one color whose
-    cells are {key: [row, ...]}."""
+    cells are {key: flat}, each `flat` its rows' coordinates joined into one
+    list, `dim` per row."""
     if not cells:
         return 0, None, None
-    row_lists = list(cells.values())
-    boxes = [_box(rows) for rows in row_lists]
-    diam = max(_diameter(rows, box, l1) for rows, box in zip(row_lists, boxes))
-    sep = _min_separation_points(row_lists, boxes, l1)
+    flats = list(cells.values())
+    boxes = [_box(flat, dim) for flat in flats]
+    diam = max(_diameter(flat, dim, box, l1)
+               for flat, box in zip(flats, boxes))
+    sep = _min_separation_points(flats, boxes, dim, l1)
     return len(cells), diam, sep
 
 
@@ -426,41 +442,54 @@ def _finish_report(s, w, cells, measure, uncovered, uncovered_total,
 
 def _verify_pointwise(s, spec, w, max_listed) -> VerificationReport:
     """Group the window's rows by their `classify` result in one dict, then
-    split it per color.  A result is checked (None, color range) only when it
-    is first seen: a result already in the dict names a valid cell."""
-    points = list(iter_window(spec, w))
+    split it per color.  Each cell's rows are one flat coordinate list.  The
+    window comes from `SpaceSpec.point_rows`: a lattice window is streamed,
+    so a point lives for one step of the loop, while other spaces list their
+    points to shape their rows.  A result is checked (None, color range) only
+    when it is first seen: a result already in the dict names a valid cell.
+    Only the first `max_listed` uncovered points and errors are kept; the
+    rest are counted."""
     groups: dict[tuple, list] = {}
     uncovered: list = []
     errors: list[str] = []
+    uncovered_total = error_total = points_seen = dim = 0
     classify = s.classify
     colors = s.colors
-    for p, row in zip(points, spec.rows(points)):
+    pairs = spec.point_rows(iter_window(spec, w))
+    for points_seen, (p, row) in enumerate(pairs, 1):
         try:
             res = classify(p)
         except SpaceError as exc:
-            errors.append(f"{p!r}: {exc}")
+            error_total += 1
+            if len(errors) < max_listed:
+                errors.append(f"{p!r}: {exc}")
             continue
-        rows = groups.get(res)
-        if rows is not None:
-            rows.append(row)
+        flat = groups.get(res)
+        if flat is not None:
+            flat += row
             continue
         if res is None:
-            uncovered.append(p)
+            uncovered_total += 1
+            if len(uncovered) < max_listed:
+                uncovered.append(p)
             continue
         color, key = res
         if 0 <= color < colors:
-            groups[res] = [row]
+            groups[res] = list(row)
+            dim = len(row)
         else:
-            errors.append(f"{p!r}: color {color} out of range")
+            error_total += 1
+            if len(errors) < max_listed:
+                errors.append(f"{p!r}: color {color} out of range")
     cells: dict[int, dict] = {}
-    for (color, key), rows in groups.items():
-        cells.setdefault(color, {})[key] = rows
+    for (color, key), flat in groups.items():
+        cells.setdefault(color, {})[key] = flat
 
     def measure(per_key: dict):
-        return _measure_color_points(per_key, spec.l1)
+        return _measure_color_points(per_key, dim, spec.l1)
 
-    return _finish_report(s, w, cells, measure, uncovered, len(uncovered),
-                          errors, len(errors), len(points), "pointwise",
+    return _finish_report(s, w, cells, measure, uncovered, uncovered_total,
+                          errors, error_total, points_seen, "pointwise",
                           max_listed)
 
 

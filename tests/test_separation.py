@@ -24,6 +24,15 @@ from coarselab.verify import _measure_color_points, _measure_color_runs
 COORD = st.integers(-6, 6)
 
 
+def measure_rows(cells: dict, l1: bool):
+    """`_measure_color_points` on cells given as {key: [row, ...]}: each
+    cell's rows joined into the one flat list the pointwise path keeps."""
+    dim = len(next(iter(cells.values()))[0]) if cells else 0
+    flats = {key: [c for row in rows for c in row]
+             for key, rows in cells.items()}
+    return _measure_color_points(flats, dim, l1)
+
+
 def assert_sweep_matches_brute(spec, cells):
     """Measure `cells` the way the pointwise path does: rows of every point
     computed in one call, grouped back into their cells."""
@@ -34,7 +43,7 @@ def assert_sweep_matches_brute(spec, cells):
     separation = min(space_distance(spec, p, q)
                      for a, b in itertools.combinations(cells, 2)
                      for p in a for q in b)
-    assert (_measure_color_points(row_cells, spec.l1)
+    assert (measure_rows(row_cells, spec.l1)
             == (len(cells), diameter, separation))
 
 
@@ -167,7 +176,7 @@ def test_exact_step_measures_only_the_window(monkeypatch, shift,
     monkeypatch.setattr(verify, "lattice_max_distance", counted)
     square = [(x, y) for x in range(10) for y in range(10)]
     moved = [(x + shift[0], y + shift[1]) for x, y in square]
-    assert (_measure_color_points({0: square, 1: moved}, l1=False)
+    assert (measure_rows({0: square, 1: moved}, l1=False)
             == (2, 9, separation))
     assert calls <= 200
 

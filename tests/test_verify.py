@@ -45,13 +45,13 @@ from coarselab.verify import (
     MultiFiberCell,
     VerifyError,
     _finish_report,
-    _measure_color_points,
     assignment_scheme,
     check_coarse_control,
     find_fiber_witnesses,
     oracle_1d_nocover,
     verify_cover,
 )
+from test_separation import measure_rows
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +497,49 @@ def test_run_path_agrees_on_a_cell_of_two_runs_on_one_fiber():
             for r in b.per_color] == [(3, 8, 3), (3, 8, 3)]
 
 
+def traced_pointwise(scheme):
+    """The pointwise report of `scheme` on a 73,205-point window of
+    3-coordinate lattice points, and the tracemalloc peak it took."""
+    spec = LatticeSpace((1, 1, 4))
+    w = Window.make(axis_boxes={0: (-60, 60), 1: (-60, 60), 2: (-8, 8)})
+    tracemalloc.start()
+    try:
+        rep = verify_cover(scheme, spec, w, mode="pointwise")
+        return rep, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pointwise_memory_per_point():
+    # a lattice window is streamed and each cell keeps one flat list of
+    # coordinates, not a tuple per point
+    rep, peak = traced_pointwise(mixed_grid_cover(2, 1, 4, 6))
+    assert (rep.verdict, rep.points_seen) == ("pass", 73205)
+    assert peak / rep.points_seen < 45
+
+
+def _no_cell(p):
+    raise SpaceError("no cell here")
+
+
+@pytest.mark.parametrize("classify, totals, first", [
+    (lambda p: None, (73205, 0), (-60, -60, -8)),
+    (_no_cell, (0, 73205), "(-60, -60, -8): no cell here"),
+], ids=["uncovered", "error"])
+def test_pointwise_keeps_only_the_listed_samples(classify, totals, first):
+    # every point is uncovered, or raises: the report lists the first 20 and
+    # counts the rest, and no point or message past the 20th is kept
+    rep, peak = traced_pointwise(CoverScheme(
+        classify=classify, colors=1,
+        declared_separation={}, declared_bound={}))
+    assert (rep.verdict, rep.points_seen) == ("fail", 73205)
+    assert (rep.uncovered_total, rep.error_total) == totals
+    lengths = (len(rep.uncovered_sample), len(rep.error_sample))
+    assert lengths == tuple(20 if t else 0 for t in totals)
+    assert (rep.uncovered_sample or rep.error_sample)[0] == first
+    assert peak / rep.points_seen < 4
+
+
 def test_run_path_memory_per_cell():
     # the run path keeps one run layout per group of cells and two ints per
     # cell, not a record per cell: 34,391 staircase cells over 4,913 fibers
@@ -807,23 +850,31 @@ def reference_pointwise_report(s, spec, w, max_listed):
             continue
         cells.setdefault(color, {}).setdefault(key, []).append(row)
     return _finish_report(
-        s, w, cells, lambda per_key: _measure_color_points(per_key, spec.l1),
+        s, w, cells, lambda per_key: measure_rows(per_key, spec.l1),
         uncovered, len(uncovered), errors, len(errors), len(points),
         "pointwise", max_listed)
 
 
 @st.composite
 def table_schemes(draw):
-    """A lookup scheme over a small 2-D window whose points are covered,
+    """A lookup scheme over a small window, of a 2-D lattice (streamed) or of
+    a tower (listed, rows padded to the top level), whose points are covered,
     uncovered (None), out of range (colors -1 and `colors`) or raise
     SpaceError; keys repeat across colors."""
     colors = draw(st.integers(1, 3))
-    axis_boxes = {}
-    for axis in range(2):
-        lo = draw(st.integers(-4, 4))
-        axis_boxes[axis] = (lo, lo + draw(st.integers(0, 5)))
-    w = Window.make(axis_boxes=axis_boxes)
-    spec = LatticeSpace((1, 1))
+    if draw(st.booleans()):
+        axis_boxes = {}
+        for axis in range(2):
+            lo = draw(st.integers(-4, 4))
+            axis_boxes[axis] = (lo, lo + draw(st.integers(0, 5)))
+        w = Window.make(axis_boxes=axis_boxes)
+        spec = LatticeSpace((1, 1))
+    else:
+        level = draw(st.integers(1, 3))
+        lo = draw(st.integers(-3, 3))
+        w = Window.make(levels=(level, min(3, level + draw(st.integers(0, 1)))),
+                        box=(lo, lo + draw(st.integers(0, 2))))
+        spec = TowerSpace()
     outcome = st.one_of(
         st.tuples(st.integers(0, colors - 1), st.integers(0, 3)),
         st.tuples(st.sampled_from([-1, colors]), st.integers(0, 3)),
