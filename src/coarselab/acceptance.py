@@ -401,7 +401,13 @@ def criterion_ordinal(seed: int = DEFAULT_SEED) -> CriterionResult:
 
 def criterion_isometries() -> CriterionResult:
     """The three flattening/interleaving maps are exactly distance-preserving
-    on 10^4+ point pairs, and the level projection is 1-Lipschitz."""
+    on 10^4+ point pairs, and the level projection is 1-Lipschitz.
+
+    On their windows every `phi-tower` and `psi-staircase` image is the
+    point's own `TowerSpace` row, so those two checks compare identical rows
+    and cannot fail while the maps and `TowerSpace.rows` share one formula.
+    Their real check is tests/test_row_metrics.py, which compares the rows
+    against the closed-form tower distance."""
     def run():
         tower = TowerSpace("pow2", 1)
         lattice = LatticeSpace((1, 2, 3))

@@ -397,6 +397,12 @@ def run_experiment(kind: str, config: dict, *, out: str | None = None,
                               "limits"))
         if budget is not None:
             limits["node_budget"] = budget
+        for name in ("node_budget", "max_uncovered_listed"):
+            value = limits.get(name)
+            if value is not None and (type(value) is not int or value < 0):
+                raise ConfigError(f"limits.{name} must be null or a "
+                                  f"non-negative integer, not "
+                                  f"{json.dumps(value)}")
         if seed is not None:
             config = {**config, "seed": seed}
         runner = RUNNERS.get(kind)

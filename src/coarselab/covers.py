@@ -48,7 +48,9 @@ class CoverScheme:
     `declared_separation[c]` and `declared_bound[c]` are the disjointness gap
     and diameter bound color `c` claims.  `fiber_runs`, when present, reports
     the scheme's cells along `moving_axis` as maximal runs so that huge
-    windows can be verified without per-point enumeration.
+    windows can be verified without per-point enumeration.  It may be
+    called again for a fiber it has already reported, and must return the
+    same runs.
     """
 
     classify: Callable[[object], "tuple[int, CellKey] | None"]

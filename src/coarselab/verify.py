@@ -14,11 +14,12 @@ measures from the run arithmetic.  It keeps no record per cell beyond two
 ints in a flat array, the hash of its claim and its fiber's number: as each
 fiber finishes, the fiber is appended to the run layout of each of its
 cells, so cells are grouped by layout, and once the window is done the
-hashes are checked for a cell on two fibers.  A layout whose fibers form a
-product of per-axis values is measured as one class, and one whose fibers
-are no product as one class per fiber.  Both paths count a point whose
-color lies outside [0, colors) as an error.  On windows small enough for
-both, the two paths are required to agree, and the tests enforce that.
+hashes are checked for a cell on two fibers: a hash filed by two fibers
+is settled on the claims of those fibers' own runs.  A layout whose fibers
+form a product of per-axis values is measured as one class, and one whose
+fibers are no product as one class per fiber.  Both paths count a point
+whose color lies outside [0, colors) as an error.  On windows small enough
+for both, the two paths are required to agree, and the tests enforce that.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import itertools
 import math
 import operator
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
 
@@ -493,8 +494,7 @@ def _verify_pointwise(s, spec, w, max_listed) -> VerificationReport:
                           max_listed)
 
 
-def _verify_runs(s, spec, w, max_listed, point_budget,
-                 exact_keys=False) -> VerificationReport:
+def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
     mov = s.moving_axis
     t_lo, t_hi = w.axis_box(mov)
     fiber_axes = [i for i in range(len(spec.axis_steps)) if i != mov]
@@ -511,15 +511,14 @@ def _verify_runs(s, spec, w, max_listed, point_budget,
         )
 
     # per color: {layout: [fiber, ...]}; and MARK_BUCKETS buckets of marks,
-    # two per claim of each finished fiber: the hash of the claim (the claim
-    # itself under exact_keys) and the fiber's number.  The buckets are flat
-    # int arrays, which hold no object per mark and nothing the garbage
-    # collector traces.  A hash beside two fiber numbers is looked for once,
-    # when the window is done: it comes from a claim on two fibers, or from
-    # two claims that share a hash, and only a pass on the claims themselves
-    # tells which.
+    # two per claim of each finished fiber: the hash of the claim and the
+    # fiber's number.  The buckets are flat int arrays, which hold no object
+    # per mark and nothing the garbage collector traces.  A hash beside two
+    # fiber numbers is looked for once, when the window is done: it comes
+    # from a claim on two fibers, or from two claims that share a hash, and
+    # only the claims of the fibers that filed it tell which.
     by_layout = {c: defaultdict(list) for c in range(s.colors)}
-    marks = [[] if exact_keys else array("q") for _ in range(MARK_BUCKETS)]
+    marks = [array("q") for _ in range(MARK_BUCKETS)]
     uncovered: list = []
     uncovered_total = 0
     errors: list[str] = []
@@ -586,23 +585,21 @@ def _verify_runs(s, spec, w, max_listed, point_budget,
                     f"fiber {fiber}: runs stop at {expected - 1} before {t_hi}"
                 )
             points_seen += span
-            _file(layouts, fiber, fiber_no, by_layout, marks, exact_keys)
+            _file(layouts, fiber, fiber_no, by_layout, marks)
     except Exception:
         # whatever the fault, a claim-by-claim check would have met a claim
         # this fiber made before it, on a cell an earlier fiber holds, first
-        _file(layouts, fiber, fiber_no, by_layout, marks, exact_keys)
-        if not _on_two_fibers(marks):
+        _file(layouts, fiber, fiber_no, by_layout, marks)
+        if not _claim_on_two_fibers(marks, fiber_no, layouts, value_lists,
+                                    fiber_runs, t_lo, t_hi, by_layout):
             raise
     else:
-        if not _on_two_fibers(marks):
+        if not _claim_on_two_fibers(marks, fiber_no, layouts, value_lists,
+                                    fiber_runs, t_lo, t_hi, by_layout):
             return _finish_report(s, w, by_layout, _measure_color_runs,
                                   uncovered, uncovered_total, errors,
                                   error_total, points_seen, "runs",
                                   max_listed)
-    if not exact_keys:
-        # the hash of one claim, or of two: the claims themselves tell
-        return _verify_runs(s, spec, w, max_listed, point_budget,
-                            exact_keys=True)
     raise MultiFiberCell(
         "run-path verification needs single-fiber cells; "
         'use mode="pointwise" for this scheme'
@@ -610,29 +607,57 @@ def _verify_runs(s, spec, w, max_listed, point_budget,
 
 
 def _file(layouts: dict, fiber: tuple, fiber_no: int, by_layout: dict,
-          marks: list, exact_keys: bool) -> None:
+          marks: list) -> None:
     """File each claim of a fiber's `layouts`: the fiber joins the claim's
-    run layout, and the claim's hash, or the claim itself under
-    `exact_keys`, goes into the bucket the hash picks, beside `fiber_no`."""
+    run layout, and the claim's hash goes into the bucket the hash picks,
+    beside `fiber_no`."""
     low = MARK_BUCKETS - 1
     for claim, layout in layouts.items():
         by_layout[claim[0]][layout].append(fiber)
         mark = hash(claim)
         bucket = marks[mark & low]
-        bucket.append(claim if exact_keys else mark)
+        bucket.append(mark)
         bucket.append(fiber_no)
 
 
-def _on_two_fibers(marks: list) -> bool:
-    """Whether some bucket holds one mark beside two fiber numbers.  A fiber
-    files each of its claims once, so a mark repeated in a bucket comes from
-    two fibers, or from two claims of one fiber that share a hash."""
+def _on_two_fibers(marks: list) -> set:
+    """The numbers of the fibers that filed a mark beside another fiber's
+    number.  A fiber files each of its claims once, so a mark repeated in a
+    bucket comes from two fibers, or from two claims of one fiber that share
+    a hash."""
+    suspects = set()
     for bucket in marks:
         found = bucket[::2]
         distinct = len(set(found))
-        if (distinct < len(found)
-                and len(set(zip(found, bucket[1::2]))) > distinct):
-            return True
+        if distinct < len(found):
+            pairs = set(zip(found, bucket[1::2]))
+            if len(pairs) > distinct:
+                fibers = Counter(mark for mark, _ in pairs)
+                suspects.update(no for mark, no in pairs if fibers[mark] > 1)
+    return suspects
+
+
+def _claim_on_two_fibers(marks: list, fiber_no: int, layouts: dict,
+                         value_lists: list, fiber_runs, t_lo: int, t_hi: int,
+                         by_layout: dict) -> bool:
+    """Whether two fibers that `_on_two_fibers` suspects filed one claim.
+    Fiber `fiber_no`, where the pass stopped, filed its `layouts` (runs
+    after a fault were never filed); any other suspect, decoded in
+    `itertools.product` order, filed its runs' claims of a `by_layout`
+    color."""
+    owner: dict = {}
+    for no in sorted(_on_two_fibers(marks)):
+        claims = layouts
+        if no != fiber_no:
+            fiber, rest = [], no
+            for vals in reversed(value_lists):
+                rest, i = divmod(rest, len(vals))
+                fiber.append(vals[i])
+            runs = fiber_runs(tuple(reversed(fiber)), t_lo, t_hi)
+            claims = [(c, key) for _, _, c, key in runs if c in by_layout]
+        for claim in claims:
+            if owner.setdefault(claim, no) != no:
+                return True
     return False
 
 

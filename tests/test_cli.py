@@ -243,6 +243,24 @@ def test_non_object_sections_exit_two(tmp_path, config, message):
     assert report["report"]["message"] == f"ConfigError: {message}"
 
 
+@pytest.mark.parametrize("limits, extra, field, shown", [
+    ({"node_budget": "x"}, (), "node_budget", '"x"'),
+    ({"node_budget": True}, (), "node_budget", "true"),
+    ({"node_budget": 1.5}, (), "node_budget", "1.5"),
+    ({}, ("--budget", "-1"), "node_budget", "-1"),
+    ({"max_uncovered_listed": 2.5}, (), "max_uncovered_listed", "2.5"),
+    ({"max_uncovered_listed": -3}, (), "max_uncovered_listed", "-3"),
+])
+def test_bad_limits_exit_two(tmp_path, limits, extra, field, shown):
+    status, report = run_cli(tmp_path, "verify",
+                             {**GRID_VERIFY, "limits": limits}, extra)
+    assert status == 2
+    assert report["status"] == "error"
+    assert report["report"]["message"] == (
+        f"ConfigError: limits.{field} must be null or a non-negative "
+        f"integer, not {shown}")
+
+
 def test_ord_rank_over_budget_is_inconclusive(tmp_path):
     # one 20-element member has 2^20 - 1 nonempty subsets
     status, report = run_cli(tmp_path, "ord", {"family": [list(range(20))]},
@@ -382,6 +400,11 @@ def mutated(draw, value):
     return draw(JSON)
 
 
+# valid limits, and the non-integers, bools and negatives they reject
+LIMITS = (st.none() | st.booleans() | st.integers(-2, 50)
+          | st.sampled_from([1.5, "", "x"]))
+
+
 @st.composite
 def experiments(draw):
     kind, config = draw(st.sampled_from(VALID_CONFIGS))
@@ -390,6 +413,10 @@ def experiments(draw):
     if draw(st.integers(0, 3)) == 0:
         kind = draw(st.sampled_from(sorted(set(RUNNERS) - {"suite"})
                                     + ["no-such-kind"]))
+    if isinstance(config, dict) and draw(st.booleans()):
+        config = {**config, "limits": draw(st.fixed_dictionaries(
+            {}, optional=dict.fromkeys(("node_budget", "max_uncovered_listed"),
+                                       LIMITS)))}
     return kind, config, draw(st.none() | st.integers(0, 50))
 
 

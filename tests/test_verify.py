@@ -4,6 +4,7 @@ witness search, coarse controls and the exhaustive 1-D search."""
 import dataclasses
 import itertools
 import json
+from collections import Counter
 import re
 import tracemalloc
 
@@ -236,13 +237,21 @@ def test_budget_guard():
                      Window.make(box=(-500, 500)), point_budget=1000)
 
 
-def _shared_cell_scheme(bound):
-    # every fiber reports its whole line as one run of the same cell
+def _shared_cell_scheme(bound, calls=None):
+    """Every fiber reports its whole line as one run of the same cell.
+    `calls`, a Counter, counts the classify and fiber_runs calls."""
+    calls = Counter() if calls is None else calls
+
+    def classify(p):
+        calls["classify"] += 1
+        return (0, "shared")
+
     def fiber_runs(fiber, t_lo, t_hi):
+        calls["fiber_runs"] += 1
         return [(t_lo, t_hi, 0, "shared")]
 
     return CoverScheme(
-        classify=lambda p: (0, "shared"), colors=1,
+        classify=classify, colors=1,
         declared_separation={0: 1}, declared_bound={0: bound},
         moving_axis=1, fiber_runs=fiber_runs,
     )
@@ -267,12 +276,12 @@ def _one_fiber_keys(f0, t):
     return (f0, -1 if t < 5 else -2)  # two cells on each fiber
 
 
-# 2 fibers of 2 runs take 12 probes.  On the cross-fiber keys the first
-# pass finishes the window before its marks show a hash on two fibers, and a
-# pass on the keys themselves follows; the one-fiber keys are told apart by
-# each fiber's own claims in one pass.
+# 2 fibers of 2 runs take 12 probes, in one pass.  On the cross-fiber keys
+# the marks show a hash on two fibers once the window is done, and the two
+# fibers' own claims tell the keys apart; the one-fiber keys carry one fiber
+# number and never become suspects.
 @pytest.mark.parametrize("key_of, cells, probe_count", [
-    (_cross_fiber_keys, 2, 12 + 12),
+    (_cross_fiber_keys, 2, 12),
     (_one_fiber_keys, 4, 12),
 ])
 def test_run_path_tells_apart_keys_that_share_a_hash(key_of, cells,
@@ -327,15 +336,29 @@ def test_auto_enumerates_multi_fiber_cells_inside_the_point_budget():
     ("runs", LONG_SHARED_POINTS),       # the run path was asked for
 ])
 def test_multi_fiber_cells_raise_outside_the_auto_budget(mode, budget):
-    scheme = _shared_cell_scheme(RUN_AXIS_THRESHOLD)
+    calls = Counter()
+    scheme = _shared_cell_scheme(RUN_AXIS_THRESHOLD, calls)
     with pytest.raises(MultiFiberCell):
         verify_cover(scheme, LatticeSpace((1, 1)), LONG_SHARED_WINDOW,
                      mode=mode, point_budget=budget)
+    # one pass: 3 probes on each fiber's single run
+    assert calls["classify"] == 6
 
 
-def _two_fiber_scheme(key_0, key_1, fault):
+def test_a_cell_on_many_fibers_is_settled_on_the_first_two():
+    # 64 fibers that all file one claim, so all 64 are suspects; the check
+    # asks fiber_runs again for fibers 0 and 1 only, whose claims meet
+    calls = Counter()
+    scheme = _shared_cell_scheme(RUN_AXIS_THRESHOLD, calls)
+    w = Window.make(box=((0, 63), (0, RUN_AXIS_THRESHOLD)))
+    with pytest.raises(MultiFiberCell):
+        verify_cover(scheme, LatticeSpace((1, 1)), w, mode="runs")
+    assert calls == {"classify": 3 * 64, "fiber_runs": 64 + 2}
+
+
+def _two_fiber_scheme(key_0, key_1, fault, key_2="b"):
     """Fiber 0 is one run keyed `key_0`; fiber 1 is a run keyed `key_1` on
-    [0, 4], then a run keyed "b".  `fault` breaks fiber 1 at one run:
+    [0, 4], then a run keyed `key_2`.  `fault` breaks fiber 1 at one run:
     ("disagree", i) makes classify disagree with run i, ("raise", i) makes
     classify raise on it, "short" makes fiber 1's runs stop at t=8, and
     "no runs" makes fiber_runs raise on fiber 1."""
@@ -345,7 +368,7 @@ def _two_fiber_scheme(key_0, key_1, fault):
         if fault == "no runs":
             raise ZeroDivisionError("fiber_runs broke")
         return [(t_lo, 4, 0, key_1),
-                (5, 8 if fault == "short" else t_hi, 0, "b")]
+                (5, 8 if fault == "short" else t_hi, 0, key_2)]
 
     def classify(p):
         f, t = p
@@ -356,7 +379,7 @@ def _two_fiber_scheme(key_0, key_1, fault):
             raise ZeroDivisionError("classify broke")
         if fault == ("disagree", run):
             return (0, "elsewhere")
-        return (0, key_1 if run == 0 else "b")
+        return (0, key_1 if run == 0 else key_2)
 
     return CoverScheme(
         classify=classify, colors=1,
@@ -376,12 +399,15 @@ def test_a_cell_on_two_fibers_outranks_a_later_fault(fault):
         verify_cover(scheme, LatticeSpace((1, 1)), TWO_FIBERS, mode="runs")
 
 
-@pytest.mark.parametrize("key_0, key_1, fault", [
-    ("a", "a", ("disagree", 0)),   # the fault comes before the second claim
-    (-1, -2, ("disagree", 1)),     # the keys share a hash but differ
-])
-def test_a_fault_before_any_cell_on_two_fibers_stands(key_0, key_1, fault):
-    scheme = _two_fiber_scheme(key_0, key_1, fault)
+@pytest.mark.parametrize("key_0, key_1, key_2, fault", [
+    ("a", "a", "b", ("disagree", 0)),   # the fault comes before the 2nd claim
+    (-1, -2, "b", ("disagree", 1)),     # the keys share a hash but differ
+    # fiber 1's faulted run claims key_0's cell, but was never filed
+    (-1, -2, -1, ("disagree", 1)),
+], ids=["a-a-fault0", "-1--2-fault1", "-1--2--1-fault1"])
+def test_a_fault_before_any_cell_on_two_fibers_stands(key_0, key_1, key_2,
+                                                      fault):
+    scheme = _two_fiber_scheme(key_0, key_1, fault, key_2)
     with pytest.raises(VerifyError, match="disagrees with classify") as info:
         verify_cover(scheme, LatticeSpace((1, 1)), TWO_FIBERS, mode="runs")
     assert type(info.value) is VerifyError
@@ -399,7 +425,8 @@ def keyed_run_schemes(draw):
     """A scheme over 2-4 fibers whose runs draw their color and key from a
     tiny pool: keys shared by every fiber (-1 and -2 share a hash) or local
     to one fiber, so cells on two fibers and hash collisions are common.
-    Also returns whether a brute force finds a claim on two fibers."""
+    Also returns whether a brute force finds a claim on two fibers, and the
+    probes one run pass makes: 1 to 3 per run, as its length allows."""
     fibers = draw(st.integers(2, 4))
     t_hi = draw(st.integers(0, 7))
     colors = draw(st.integers(1, 2))
@@ -429,19 +456,30 @@ def keyed_run_schemes(draw):
     claims = [{(c, k) for _, _, c, k in runs} for runs in runs_of]
     on_two_fibers = any(a & b for a, b in itertools.combinations(claims, 2))
     w = Window.make(box=((0, fibers - 1), (0, t_hi)))
-    return scheme, w, on_two_fibers
+    one_pass = sum(min(t1 - t0, 2) + 1
+                   for runs in runs_of for t0, t1, _, _ in runs)
+    return scheme, w, on_two_fibers, one_pass
 
 
 @settings(deadline=None, max_examples=300)
 @given(keyed_run_schemes())
 def test_run_path_matches_pointwise_on_random_keyed_runs(case):
-    scheme, w, on_two_fibers = case
+    scheme, w, on_two_fibers, one_pass = case
     spec = LatticeSpace((1, 1))
+    probes = []
+
+    def classify(p):
+        probes.append(p)
+        return scheme.classify(p)
+
+    counted = dataclasses.replace(scheme, classify=classify)
     if on_two_fibers:
         with pytest.raises(MultiFiberCell):
-            verify_cover(scheme, spec, w, mode="runs")
+            verify_cover(counted, spec, w, mode="runs")
+        assert len(probes) == one_pass  # a shared hash costs no second pass
         return
-    got = verify_cover(scheme, spec, w, mode="runs")
+    got = verify_cover(counted, spec, w, mode="runs")
+    assert len(probes) == one_pass
     want = verify_cover(scheme, spec, w, mode="pointwise")
     assert got.to_json() == {**want.to_json(), "mode": "runs"}
 
