@@ -1,11 +1,11 @@
 """Batch experiment runner.
 
 Parses a JSON config, builds the named space/scheme/map, runs the requested
-verification, and writes a machine-readable report.  Exit status 0 means
-pass/feasible, 1 means fail/infeasible/witness-missing, and 2 means
-inconclusive or an error in the config or its parameters; the report's
-`status` field distinguishes the two.  Reports are deterministic given a config and embed the fully
-resolved config for reproducibility.
+verification, and writes a machine-readable report.  The exit status is read
+from the report's `status` through `EXIT_STATUS`: 0 means pass/feasible, 1
+means fail/infeasible/witness-missing, and 2 means inconclusive or an error
+in the config or its parameters.  Reports are deterministic given a config
+and embed the fully resolved config for reproducibility.
 """
 
 from __future__ import annotations
@@ -59,6 +59,11 @@ from .verify import (
 
 class ConfigError(ValueError):
     pass
+
+
+EXIT_STATUS = {"pass": 0, "ok": 0, "feasible": 0,
+               "fail": 1, "infeasible": 1, "recheck-failed": 1,
+               "inconclusive": 2, "error": 2}
 
 
 def _object(value, what: str) -> dict:
@@ -184,17 +189,16 @@ def parse_family(cfg: dict) -> FiniteFamily:
 # experiment kinds
 # ---------------------------------------------------------------------------
 
-def _over_budget(limits: dict, work: int, what: str) -> tuple[int, dict] | None:
-    """The inconclusive result (exit 2) of a run whose `work`, counted in its
-    own units and described by `what`, exceeds `limits.node_budget`."""
+def _over_budget(limits: dict, work: int, what: str) -> dict | None:
+    """The inconclusive report of a run whose `work`, counted in its own
+    units and described by `what`, exceeds `limits.node_budget`."""
     budget = limits.get("node_budget")
     if budget is None or work <= budget:
         return None
-    return 2, {"status": "inconclusive",
-               "reason": f"{what}, budget is {budget}"}
+    return {"status": "inconclusive", "reason": f"{what}, budget is {budget}"}
 
 
-def run_verify(cfg: dict, limits: dict) -> tuple[int, dict]:
+def run_verify(cfg: dict, limits: dict) -> dict:
     space = parse_space(cfg["space"])
     scheme = build_construction(cfg["construction"], space)
     window = parse_window(cfg["window"])
@@ -205,15 +209,14 @@ def run_verify(cfg: dict, limits: dict) -> tuple[int, dict]:
             max_uncovered_listed=limits.get("max_uncovered_listed", 20),
         )
     except BudgetExceeded as exc:
-        return 2, {"status": "inconclusive", "reason": str(exc)}
-    status = 0 if report.passed else 1
+        return {"status": "inconclusive", "reason": str(exc)}
     body = report.to_json()
     body["status"] = "pass" if report.passed else "fail"
     body["colors"] = scheme.colors
-    return status, body
+    return body
 
 
-def run_witness(cfg: dict, limits: dict) -> tuple[int, dict]:
+def run_witness(cfg: dict, limits: dict) -> dict:
     families = [build_construction(f) for f in cfg["families"]]
     box_lo, box_hi = cfg["box"]
     dim = cfg.get("box_dim", 1)
@@ -228,8 +231,7 @@ def run_witness(cfg: dict, limits: dict) -> tuple[int, dict]:
            for p in itertools.product(range(box_lo, box_hi + 1), repeat=dim)]
     result = find_fiber_witnesses(families, fibers, box)
     body = result.to_json()
-    status = 0 if result.all_fibers_witnessed else 1
-    body["status"] = "pass" if status == 0 else "fail"
+    body["status"] = "pass" if result.all_fibers_witnessed else "fail"
     control_cfg = cfg.get("control")
     if control_cfg is not None and result.all_fibers_witnessed:
         control_cfg = _object(control_cfg, "control")
@@ -244,12 +246,11 @@ def run_witness(cfg: dict, limits: dict) -> tuple[int, dict]:
         ctrl = check_coarse_control(delta, fiber_space, points=fibers)
         body["control"] = ctrl.to_json()
         if not ctrl.passed:
-            status = 1
             body["status"] = "fail"
-    return status, body
+    return body
 
 
-def run_control(cfg: dict, limits: dict) -> tuple[int, dict]:
+def run_control(cfg: dict, limits: dict) -> dict:
     m = parse_map(cfg["map"])
     domain = parse_space(cfg["domain"])
     codomain = parse_space(cfg["codomain"]) if "codomain" in cfg else None
@@ -260,13 +261,12 @@ def run_control(cfg: dict, limits: dict) -> tuple[int, dict]:
     if over is not None:
         return over
     report = check_coarse_control(m, domain, codomain, window)
-    status = 0 if report.passed else 1
     body = report.to_json()
-    body["status"] = "pass" if status == 0 else "fail"
-    return status, body
+    body["status"] = "pass" if report.passed else "fail"
+    return body
 
 
-def run_oracle(cfg: dict, limits: dict) -> tuple[int, dict]:
+def run_oracle(cfg: dict, limits: dict) -> dict:
     outcome = oracle_1d_nocover(
         cfg["n"], cfg["R"], cfg.get("colors", 1),
         tuple(cfg["window"]), node_budget=limits.get("node_budget"),
@@ -278,14 +278,11 @@ def run_oracle(cfg: dict, limits: dict) -> tuple[int, dict]:
                                Window.make(box=(tuple(cfg["window"]),)))
         body["recheck"] = recheck.to_json()
         if not recheck.passed:
-            return 1, {**body, "status": "recheck-failed"}
-        return 0, body
-    if outcome.status == "infeasible":
-        return 1, body
-    return 2, body
+            body["status"] = "recheck-failed"
+    return body
 
 
-def run_ord(cfg: dict, limits: dict) -> tuple[int, dict]:
+def run_ord(cfg: dict, limits: dict) -> dict:
     family = FinFamily.of(cfg["family"])
     # the rank recursion and the inclusive closure each visit up to every
     # nonempty subset of every member
@@ -300,10 +297,10 @@ def run_ord(cfg: dict, limits: dict) -> tuple[int, dict]:
         "inclusive": is_inclusive(family),
         "closure_size": len(inclusive_closure(family)),
     }
-    return 0, body
+    return body
 
 
-def run_satunion(cfg: dict, limits: dict) -> tuple[int, dict]:
+def run_satunion(cfg: dict, limits: dict) -> dict:
     V = parse_family(cfg["V"])
     U = parse_family(cfg["U"])
     # every U-cell is measured against every V-cell
@@ -335,20 +332,18 @@ def run_satunion(cfg: dict, limits: dict) -> tuple[int, dict]:
         "input_points": len(points),
         "output_points": len(out.point_union()),
     }
-    return 0, body
+    return body
 
 
-def run_suite(cfg: dict, limits: dict) -> tuple[int, dict]:
+def run_suite(cfg: dict, limits: dict) -> dict:
     seed = cfg.get("seed", acceptance.DEFAULT_SEED)
     results = acceptance.run_all(seed)
     for res in results:
         print(res.line())
-    all_pass = all(res.passed for res in results)
-    body = {
-        "status": "pass" if all_pass else "fail",
+    return {
+        "status": "pass" if all(res.passed for res in results) else "fail",
         "criteria": [res.to_json() for res in results],
     }
-    return 0 if all_pass else 1, body
 
 
 RUNNERS = {
@@ -397,8 +392,10 @@ def run_experiment(kind: str, config: dict, *, out: str | None = None,
                               "limits"))
         if budget is not None:
             limits["node_budget"] = budget
-        for name in ("node_budget", "max_uncovered_listed"):
-            value = limits.get(name)
+        for name, value in limits.items():
+            if name not in ("node_budget", "max_uncovered_listed"):
+                raise ConfigError(f"unknown key limits.{name}; limits takes "
+                                  f"node_budget and max_uncovered_listed")
             if value is not None and (type(value) is not int or value < 0):
                 raise ConfigError(f"limits.{name} must be null or a "
                                   f"non-negative integer, not "
@@ -408,14 +405,13 @@ def run_experiment(kind: str, config: dict, *, out: str | None = None,
         runner = RUNNERS.get(kind)
         if runner is None:
             raise ConfigError(f"unknown experiment kind {kind!r}")
-        status, body = runner(config, limits)
+        body = runner(config, limits)
     except (ValueError, VerifyError, KeyError, TypeError) as exc:
-        status, body = 2, {"status": "error",
-                           "message": f"{type(exc).__name__}: {exc}"}
+        body = {"status": "error", "message": f"{type(exc).__name__}: {exc}"}
     if isinstance(config, dict):
         config = {**config, "kind": kind, "limits": limits}
     envelope = {
-        "status": body.get("status", "error"),
+        "status": body["status"],
         "config": config,
         "report": body,
         "version": __version__,
@@ -427,7 +423,7 @@ def run_experiment(kind: str, config: dict, *, out: str | None = None,
         print(text)
     if csv_path:
         _write_csv(csv_path, body)
-    return status
+    return EXIT_STATUS[body["status"]]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -448,7 +444,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.config:
         try:
             config = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and UnicodeDecodeError
             print(json.dumps({"status": "error", "message": str(exc),
                               "version": __version__}))
             return 2

@@ -406,9 +406,24 @@ def _moving_extent(s: CoverScheme, w: Window) -> int:
     return hi - lo + 1
 
 
-def _finish_report(s, w, cells, measure, uncovered, uncovered_total,
-                   errors, error_total, points_seen, mode,
-                   max_listed) -> VerificationReport:
+class _Sample:
+    """The first `cap` items added, and the count of all they stand for: an
+    item added with `count` stands for that many points, as a run's first
+    point does for its whole run."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.items: list = []
+        self.total = 0
+
+    def add(self, item, count: int = 1) -> None:
+        self.total += count
+        if len(self.items) < self.cap:
+            self.items.append(item)
+
+
+def _finish_report(s, w, cells, measure, uncovered: _Sample, errors: _Sample,
+                   points_seen, mode) -> VerificationReport:
     records = []
     for color in range(s.colors):
         seen, diam, sep = measure(cells.get(color, {}))
@@ -421,7 +436,7 @@ def _finish_report(s, w, cells, measure, uncovered, uncovered_total,
             min_cross_cell_separation=sep,
             separation_pass=sep_ok, bound_pass=bound_ok,
         ))
-    if (uncovered_total or error_total
+    if (uncovered.total or errors.total
             or not all(r.separation_pass and r.bound_pass for r in records)):
         verdict = "fail"
     elif points_seen == 0 or any(r.cells_seen == 0 for r in records):
@@ -430,10 +445,10 @@ def _finish_report(s, w, cells, measure, uncovered, uncovered_total,
         verdict = "pass"
     return VerificationReport(
         per_color=records,
-        uncovered_sample=uncovered[:max_listed],
-        uncovered_total=uncovered_total,
-        error_sample=errors[:max_listed],
-        error_total=error_total,
+        uncovered_sample=uncovered.items,
+        uncovered_total=uncovered.total,
+        error_sample=errors.items,
+        error_total=errors.total,
         points_seen=points_seen,
         window=w,
         verdict=verdict,
@@ -447,13 +462,11 @@ def _verify_pointwise(s, spec, w, max_listed) -> VerificationReport:
     window comes from `SpaceSpec.point_rows`: a lattice window is streamed,
     so a point lives for one step of the loop, while other spaces list their
     points to shape their rows.  A result is checked (None, color range) only
-    when it is first seen: a result already in the dict names a valid cell.
-    Only the first `max_listed` uncovered points and errors are kept; the
-    rest are counted."""
+    when it is first seen: a result already in the dict names a valid cell."""
     groups: dict[tuple, list] = {}
-    uncovered: list = []
-    errors: list[str] = []
-    uncovered_total = error_total = points_seen = dim = 0
+    uncovered = _Sample(max_listed)
+    errors = _Sample(max_listed)
+    points_seen = dim = 0
     classify = s.classify
     colors = s.colors
     pairs = spec.point_rows(iter_window(spec, w))
@@ -461,27 +474,21 @@ def _verify_pointwise(s, spec, w, max_listed) -> VerificationReport:
         try:
             res = classify(p)
         except SpaceError as exc:
-            error_total += 1
-            if len(errors) < max_listed:
-                errors.append(f"{p!r}: {exc}")
+            errors.add(f"{p!r}: {exc}")
             continue
         flat = groups.get(res)
         if flat is not None:
             flat += row
             continue
         if res is None:
-            uncovered_total += 1
-            if len(uncovered) < max_listed:
-                uncovered.append(p)
+            uncovered.add(p)
             continue
         color, key = res
         if 0 <= color < colors:
             groups[res] = list(row)
             dim = len(row)
         else:
-            error_total += 1
-            if len(errors) < max_listed:
-                errors.append(f"{p!r}: color {color} out of range")
+            errors.add(f"{p!r}: color {color} out of range")
     cells: dict[int, dict] = {}
     for (color, key), flat in groups.items():
         cells.setdefault(color, {})[key] = flat
@@ -489,9 +496,8 @@ def _verify_pointwise(s, spec, w, max_listed) -> VerificationReport:
     def measure(per_key: dict):
         return _measure_color_points(per_key, dim, spec.l1)
 
-    return _finish_report(s, w, cells, measure, uncovered, uncovered_total,
-                          errors, error_total, points_seen, "pointwise",
-                          max_listed)
+    return _finish_report(s, w, cells, measure, uncovered, errors,
+                          points_seen, "pointwise")
 
 
 def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
@@ -519,10 +525,8 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
     # only the claims of the fibers that filed it tell which.
     by_layout = {c: defaultdict(list) for c in range(s.colors)}
     marks = [array("q") for _ in range(MARK_BUCKETS)]
-    uncovered: list = []
-    uncovered_total = 0
-    errors: list[str] = []
-    error_total = 0
+    uncovered = _Sample(max_listed)
+    errors = _Sample(max_listed)
     points_seen = 0
     span = t_hi - t_lo + 1
 
@@ -530,6 +534,7 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
     fiber_runs = s.fiber_runs
     fiber_no, fiber = 0, ()
     layouts: dict[tuple, tuple] = {}  # (color, key) -> this fiber's runs
+    fault = None
     try:
         for fiber_no, fiber in enumerate(itertools.product(*value_lists)):
             layouts = {}
@@ -537,9 +542,8 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
                 runs = fiber_runs(fiber, t_lo, t_hi)
             except SpaceError as exc:
                 # every point of the fiber is an error, as pointwise
-                errors.append(f"{fiber!r}: {exc}")
+                errors.add(f"{fiber!r}: {exc}", span)
                 points_seen += span
-                error_total += span
                 continue
             point = [*fiber[:mov], t_lo, *fiber[mov:]]  # moving axis per probe
             expected = t_lo
@@ -552,9 +556,7 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
                 point[mov] = t0
                 first = tuple(point)
                 if color is None:
-                    uncovered_total += t1 - t0 + 1
-                    if len(uncovered) < max_listed:
-                        uncovered.append(first)
+                    uncovered.add(first, t1 - t0 + 1)
                     continue
                 # both ends and the midpoint, each once, in ascending order
                 claim = (color, key)
@@ -573,8 +575,8 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
                         raise _disagreement(claim, t1, probe)
                 if color not in by_layout:
                     # every point of the run is an error, as pointwise
-                    errors.append(f"{first!r}: color {color} out of range")
-                    error_total += t1 - t0 + 1
+                    errors.add(f"{first!r}: color {color} out of range",
+                               t1 - t0 + 1)
                     continue
                 run = ((t0, t1),)
                 cell = layouts.setdefault(claim, run)
@@ -586,24 +588,22 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
                 )
             points_seen += span
             _file(layouts, fiber, fiber_no, by_layout, marks)
-    except Exception:
+    except Exception as exc:
         # whatever the fault, a claim-by-claim check would have met a claim
-        # this fiber made before it, on a cell an earlier fiber holds, first
+        # this fiber made before it, on a cell an earlier fiber holds, first;
+        # so such a cell outranks the fault, which stands only without one
         _file(layouts, fiber, fiber_no, by_layout, marks)
-        if not _claim_on_two_fibers(marks, fiber_no, layouts, value_lists,
-                                    fiber_runs, t_lo, t_hi, by_layout):
-            raise
-    else:
-        if not _claim_on_two_fibers(marks, fiber_no, layouts, value_lists,
-                                    fiber_runs, t_lo, t_hi, by_layout):
-            return _finish_report(s, w, by_layout, _measure_color_runs,
-                                  uncovered, uncovered_total, errors,
-                                  error_total, points_seen, "runs",
-                                  max_listed)
-    raise MultiFiberCell(
-        "run-path verification needs single-fiber cells; "
-        'use mode="pointwise" for this scheme'
-    )
+        fault = exc
+    if _claim_on_two_fibers(marks, fiber_no, layouts, value_lists, fiber_runs,
+                            t_lo, t_hi, by_layout):
+        raise MultiFiberCell(
+            "run-path verification needs single-fiber cells; "
+            'use mode="pointwise" for this scheme'
+        )
+    if fault is not None:
+        raise fault
+    return _finish_report(s, w, by_layout, _measure_color_runs, uncovered,
+                          errors, points_seen, "runs")
 
 
 def _file(layouts: dict, fiber: tuple, fiber_no: int, by_layout: dict,

@@ -261,6 +261,17 @@ def test_bad_limits_exit_two(tmp_path, limits, extra, field, shown):
         f"integer, not {shown}")
 
 
+def test_unknown_limits_key_exits_two(tmp_path):
+    # a misspelt node_budget would otherwise leave the run unbounded
+    status, report = run_cli(tmp_path, "verify",
+                             {**GRID_VERIFY, "limits": {"node_budgte": 1}})
+    assert status == 2
+    assert report["status"] == "error"
+    assert report["report"]["message"] == (
+        "ConfigError: unknown key limits.node_budgte; limits takes "
+        "node_budget and max_uncovered_listed")
+
+
 def test_ord_rank_over_budget_is_inconclusive(tmp_path):
     # one 20-element member has 2^20 - 1 nonempty subsets
     status, report = run_cli(tmp_path, "ord", {"family": [list(range(20))]},
@@ -481,6 +492,17 @@ def test_staircase_moving_axis_past_the_lattice_fails_pointwise(tmp_path):
 
 def test_missing_config_file_exits_two(capsys):
     assert main(["verify", "--config", "/nonexistent/config.json"]) == 2
+
+
+@pytest.mark.parametrize("data", [
+    b'{"family": [[1]], "note": "\xff"}',
+    b"[" * 100_000 + b"]" * 100_000,
+], ids=["not-utf-8", "nested-past-the-recursion-limit"])
+def test_unreadable_config_file_exits_two(tmp_path, capsys, data):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    assert main(["ord", "--config", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["status"] == "error"
 
 
 def test_satunion_with_tower_point_literals(tmp_path):

@@ -46,6 +46,7 @@ from coarselab.verify import (
     MultiFiberCell,
     VerifyError,
     _finish_report,
+    _Sample,
     assignment_scheme,
     check_coarse_control,
     find_fiber_witnesses,
@@ -887,10 +888,15 @@ def reference_pointwise_report(s, spec, w, max_listed):
             errors.append(f"{p!r}: color {color} out of range")
             continue
         cells.setdefault(color, {}).setdefault(key, []).append(row)
+
+    def sample(items):
+        out = _Sample(max_listed)
+        out.items, out.total = items[:max_listed], len(items)
+        return out
+
     return _finish_report(
         s, w, cells, lambda per_key: measure_rows(per_key, spec.l1),
-        uncovered, len(uncovered), errors, len(errors), len(points),
-        "pointwise", max_listed)
+        sample(uncovered), sample(errors), len(points), "pointwise")
 
 
 @st.composite
