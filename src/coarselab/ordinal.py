@@ -33,6 +33,14 @@ class FinFamily:
     def of(cls, sets: Iterable[Iterable[int]]) -> "FinFamily":
         return cls(frozenset(frozenset(s) for s in sets))
 
+    @classmethod
+    def _trusted(cls, members: frozenset[frozenset[int]]) -> "FinFamily":
+        """Wrap members already known to be nonempty sets of naturals,
+        skipping the validation of `__post_init__`."""
+        family = object.__new__(cls)
+        object.__setattr__(family, "members", members)
+        return family
+
     def support(self) -> frozenset[int]:
         """Union of all members."""
         out: set[int] = set()
@@ -54,31 +62,30 @@ class FinFamily:
 
 
 def derived_family(M: FinFamily, sigma: Iterable[int]) -> FinFamily:
-    """All nonempty tau disjoint from sigma with tau-union-sigma a member."""
+    """All nonempty tau disjoint from sigma with tau-union-sigma a member.
+
+    Each tau is `m - sigma` for a member `m` of the validated `M` that holds
+    sigma as a proper subset, so it is a nonempty set of naturals and the
+    result is not validated again."""
     s = frozenset(sigma)
-    out = set()
-    for m in M.members:
-        if s <= m:
-            tau = m - s
-            if tau:
-                out.add(tau)
-    return FinFamily(frozenset(out))
+    return FinFamily._trusted(frozenset(m - s for m in M.members if s < m))
 
 
 def ord_rank(M: FinFamily,
-             memo: dict[frozenset[int], int] | None = None) -> int:
+             memo: dict[tuple[int, ...], int] | None = None) -> int:
     """Recursive rank: 0 for the empty family, else 1 + the best rank after
     stripping one support element.  Equals the maximum member size.
 
     The recursion runs on bitmasks: the sorted support is relabelled to bits
-    0..k-1, each member becomes an int mask and each family a frozenset of
-    masks.  `memo` maps mask families to their ranks.  A rank depends only on
-    the family up to relabelling of its support, so a caller may share one
-    dict across calls and every cached rank stays exact."""
+    0..k-1, each member becomes an int mask and each family the sorted tuple
+    of its masks.  A family's masks are distinct, so that tuple is a
+    canonical key.  `memo` maps mask tuples to their ranks.  A rank depends
+    only on the family up to relabelling of its support, so a caller may
+    share one dict across calls and every cached rank stays exact."""
     if memo is None:
         memo = {}
 
-    def rank(members: frozenset[int]) -> int:
+    def rank(members: tuple[int, ...]) -> int:
         if not members:
             return 0
         cached = memo.get(members)
@@ -91,13 +98,15 @@ def ord_rank(M: FinFamily,
         while support:
             bit = support & -support
             support ^= bit
-            best = max(best, rank(frozenset(
+            # clearing one bit that every kept mask holds keeps them sorted
+            # and distinct
+            best = max(best, rank(tuple(
                 m ^ bit for m in members if m & bit and m != bit)))
         memo[members] = best + 1
         return best + 1
 
     bits = {x: 1 << i for i, x in enumerate(sorted(M.support()))}
-    return rank(frozenset(sum(bits[x] for x in m) for m in M.members))
+    return rank(tuple(sorted(sum(bits[x] for x in m) for m in M.members)))
 
 
 def is_inclusive(M: FinFamily) -> bool:

@@ -1,12 +1,14 @@
 """Finite set-system rank: derived families, recursion, inclusivity."""
 
 import random
+import tracemalloc
 from itertools import chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coarselab import acceptance
 from coarselab.ordinal import (
     FinFamily,
     derived_family,
@@ -19,7 +21,10 @@ from coarselab.ordinal import (
 def test_members_must_be_nonempty_naturals():
     with pytest.raises(ValueError):
         FinFamily.of([[]])
-    for bad in ([[-1]], [[1.5, 2]], [[True, 2]], [["0"]]):
+    # the mixed members put a valid int beside the bad element, so a check
+    # that looks at one element per member cannot pass them
+    for bad in ([[-1]], [[1.5, 2]], [[True, 2]], [["0"]], [[0, -1]],
+                [[3, True]]):
         with pytest.raises(ValueError):
             FinFamily.of(bad)
 
@@ -125,12 +130,44 @@ def test_bitmask_rank_matches_frozenset_recursion(members):
 def test_rank_memo_is_keyed_on_relabelled_masks():
     memo: dict = {}
     assert ord_rank(FinFamily.of([[0, 10**9]]), memo) == 2
-    # the support {0, 10^9} becomes bits 0 and 1
-    assert set(memo) == {frozenset({0b11}), frozenset({0b01}),
-                         frozenset({0b10})}
+    # the support {0, 10^9} becomes bits 0 and 1; a key is a family's
+    # sorted mask tuple
+    assert set(memo) == {(0b11,), (0b01,), (0b10,)}
     # a relabelled copy of the family hits the same entries
     assert ord_rank(FinFamily.of([[7, 2**70]]), memo) == 2
     assert len(memo) == 3
+
+
+def test_ordinal_criterion_memo_memory():
+    # one shared memo over the criterion's 10,000 seeded families keeps a
+    # sorted tuple of small-int masks per key
+    tracemalloc.start()
+    try:
+        result = acceptance.criterion_ordinal()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed, result.details
+    assert peak < 2.5 * 2**20
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_derived_family_matches_validating_reference(data):
+    M = FinFamily.of(data.draw(_families))
+    support = sorted(M.support())
+    # sigma is empty, outside the support, inside it, or equal to a member
+    beyond = st.integers(max(support, default=-1) + 1, 2**71)
+    sigmas = [st.just(frozenset()), st.frozensets(beyond, min_size=1)]
+    if support:
+        sigmas += [st.frozensets(st.sampled_from(support), min_size=1),
+                   st.sampled_from(M.to_json()).map(frozenset)]
+    s = data.draw(st.one_of(sigmas))
+    reference = FinFamily(frozenset(m - s for m in M.members
+                                    if s <= m and m - s))
+    derived = derived_family(M, s)
+    assert derived == reference
+    assert FinFamily(derived.members) == derived
 
 
 def test_inclusive_closure_enumerates_subsets():
