@@ -202,11 +202,12 @@ def run_verify(cfg: dict, limits: dict) -> dict:
     space = parse_space(cfg["space"])
     scheme = build_construction(cfg["construction"], space)
     window = parse_window(cfg["window"])
+    listed = limits.get("max_uncovered_listed")
     try:
         report = verify_cover(
             scheme, space, window,
             point_budget=limits.get("node_budget"),
-            max_uncovered_listed=limits.get("max_uncovered_listed", 20),
+            max_uncovered_listed=20 if listed is None else listed,
         )
     except BudgetExceeded as exc:
         return {"status": "inconclusive", "reason": str(exc)}

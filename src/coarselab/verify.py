@@ -10,16 +10,17 @@ exist: the pointwise path enumerates every window point and groups it by the
 scheme's classification, while the run path (for schemes that can describe
 their cells as maximal runs along one long axis) validates the reported runs
 against the pointwise classifier at their endpoints and midpoints and then
-measures from the run arithmetic.  It keeps no record per cell beyond two
-ints in a flat array, the hash of its claim and its fiber's number: as each
-fiber finishes, the fiber is appended to the run layout of each of its
-cells, so cells are grouped by layout, and once the window is done the
-hashes are checked for a cell on two fibers: a hash filed by two fibers
-is settled on the claims of those fibers' own runs.  A layout whose fibers
-form a product of per-axis values is measured as one class, and one whose
-fibers are no product as one class per fiber.  Both paths count a point
-whose color lies outside [0, colors) as an error.  On windows small enough
-for both, the two paths are required to agree, and the tests enforce that.
+measures from the run arithmetic.  It keeps no record per cell beyond one
+int in a flat array, the hash of its claim, filed once per fiber however
+many of its claims share it: as each fiber finishes, the fiber is appended
+to the run layout of each of its cells, so cells are grouped by layout, and
+once the window is done the hashes are checked for a cell on two fibers: a
+repeated hash is settled by walking the fibers again and comparing their
+claims.  A layout whose fibers form a product of per-axis values is measured
+as one class, and one whose fibers are no product as one class per fiber.
+Both paths count a point whose color lies outside [0, colors) as an error.
+On windows small enough for both, the two paths are required to agree, and
+the tests enforce that.
 """
 
 from __future__ import annotations
@@ -517,12 +518,11 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
         )
 
     # per color: {layout: [fiber, ...]}; and MARK_BUCKETS buckets of marks,
-    # two per claim of each finished fiber: the hash of the claim and the
-    # fiber's number.  The buckets are flat int arrays, which hold no object
-    # per mark and nothing the garbage collector traces.  A hash beside two
-    # fiber numbers is looked for once, when the window is done: it comes
-    # from a claim on two fibers, or from two claims that share a hash, and
-    # only the claims of the fibers that filed it tell which.
+    # one per distinct hash of the claims of each finished fiber.  The
+    # buckets are flat int arrays, which hold no object per mark and nothing
+    # the garbage collector traces.  A repeated hash is looked for once, when
+    # the window is done: it comes from a claim on two fibers, or from claims
+    # of two fibers that share a hash, and only the fibers' claims tell which.
     by_layout = {c: defaultdict(list) for c in range(s.colors)}
     marks = [array("q") for _ in range(MARK_BUCKETS)]
     uncovered = _Sample(max_listed)
@@ -532,11 +532,11 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
 
     classify = s.classify
     fiber_runs = s.fiber_runs
-    fiber_no, fiber = 0, ()
+    fiber = ()
     layouts: dict[tuple, tuple] = {}  # (color, key) -> this fiber's runs
     fault = None
     try:
-        for fiber_no, fiber in enumerate(itertools.product(*value_lists)):
+        for fiber in itertools.product(*value_lists):
             layouts = {}
             try:
                 runs = fiber_runs(fiber, t_lo, t_hi)
@@ -587,78 +587,64 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
                     f"fiber {fiber}: runs stop at {expected - 1} before {t_hi}"
                 )
             points_seen += span
-            _file(layouts, fiber, fiber_no, by_layout, marks)
+            _file(layouts, fiber, by_layout, marks)
     except Exception as exc:
         # whatever the fault, a claim-by-claim check would have met a claim
         # this fiber made before it, on a cell an earlier fiber holds, first;
         # so such a cell outranks the fault, which stands only without one
-        _file(layouts, fiber, fiber_no, by_layout, marks)
+        _file(layouts, fiber, by_layout, marks)
         fault = exc
-    if _claim_on_two_fibers(marks, fiber_no, layouts, value_lists, fiber_runs,
-                            t_lo, t_hi, by_layout):
-        raise MultiFiberCell(
-            "run-path verification needs single-fiber cells; "
-            'use mode="pointwise" for this scheme'
-        )
+    _claim_on_two_fibers(marks, fiber, layouts, value_lists, fiber_runs,
+                         t_lo, t_hi, by_layout)
     if fault is not None:
         raise fault
     return _finish_report(s, w, by_layout, _measure_color_runs, uncovered,
                           errors, points_seen, "runs")
 
 
-def _file(layouts: dict, fiber: tuple, fiber_no: int, by_layout: dict,
-          marks: list) -> None:
-    """File each claim of a fiber's `layouts`: the fiber joins the claim's
-    run layout, and the claim's hash goes into the bucket the hash picks,
-    beside `fiber_no`."""
+def _file(layouts: dict, fiber: tuple, by_layout: dict, marks: list) -> None:
+    """File a fiber's `layouts`: the fiber joins each claim's run layout, and
+    each distinct hash of its claims goes once into the bucket it picks."""
     low = MARK_BUCKETS - 1
     for claim, layout in layouts.items():
         by_layout[claim[0]][layout].append(fiber)
-        mark = hash(claim)
-        bucket = marks[mark & low]
-        bucket.append(mark)
-        bucket.append(fiber_no)
+    for mark in {hash(claim) for claim in layouts}:
+        marks[mark & low].append(mark)
 
 
-def _on_two_fibers(marks: list) -> set:
-    """The numbers of the fibers that filed a mark beside another fiber's
-    number.  A fiber files each of its claims once, so a mark repeated in a
-    bucket comes from two fibers, or from two claims of one fiber that share
-    a hash."""
-    suspects = set()
-    for bucket in marks:
-        found = bucket[::2]
-        distinct = len(set(found))
-        if distinct < len(found):
-            pairs = set(zip(found, bucket[1::2]))
-            if len(pairs) > distinct:
-                fibers = Counter(mark for mark, _ in pairs)
-                suspects.update(no for mark, no in pairs if fibers[mark] > 1)
-    return suspects
-
-
-def _claim_on_two_fibers(marks: list, fiber_no: int, layouts: dict,
+def _claim_on_two_fibers(marks: list, fiber: tuple, layouts: dict,
                          value_lists: list, fiber_runs, t_lo: int, t_hi: int,
-                         by_layout: dict) -> bool:
-    """Whether two fibers that `_on_two_fibers` suspects filed one claim.
-    Fiber `fiber_no`, where the pass stopped, filed its `layouts` (runs
-    after a fault were never filed); any other suspect, decoded in
-    `itertools.product` order, filed its runs' claims of a `by_layout`
-    color."""
+                         by_layout: dict) -> None:
+    """Raise `MultiFiberCell` if two fibers filed one claim.  A fiber files
+    each hash once, so a hash repeated in a bucket comes from two fibers,
+    which filed one claim or two claims that share a hash.  Only then are the
+    fibers walked again in `itertools.product` order, up to `fiber`, where
+    the pass stopped: an earlier fiber filed its runs' claims of a
+    `by_layout` color, or nothing if its `fiber_runs` raised, and `fiber`
+    filed its `layouts` (runs after a fault were never filed)."""
+    repeated = set()
+    for bucket in marks:
+        if len(set(bucket)) < len(bucket):
+            repeated.update(m for m, n in Counter(bucket).items() if n > 1)
+    if not repeated:
+        return
     owner: dict = {}
-    for no in sorted(_on_two_fibers(marks)):
+    for each in itertools.product(*value_lists):
         claims = layouts
-        if no != fiber_no:
-            fiber, rest = [], no
-            for vals in reversed(value_lists):
-                rest, i = divmod(rest, len(vals))
-                fiber.append(vals[i])
-            runs = fiber_runs(tuple(reversed(fiber)), t_lo, t_hi)
+        if each != fiber:
+            try:
+                runs = fiber_runs(each, t_lo, t_hi)
+            except SpaceError:
+                continue
             claims = [(c, key) for _, _, c, key in runs if c in by_layout]
         for claim in claims:
-            if owner.setdefault(claim, no) != no:
-                return True
-    return False
+            if hash(claim) in repeated and owner.setdefault(claim, each) != each:
+                raise MultiFiberCell(
+                    "run-path verification needs single-fiber cells; "
+                    'use mode="pointwise" for this scheme'
+                )
+        if each == fiber:
+            return
 
 
 def _disagreement(claim: tuple, t: int, probe) -> VerifyError:

@@ -261,6 +261,21 @@ def test_bad_limits_exit_two(tmp_path, limits, extra, field, shown):
         f"integer, not {shown}")
 
 
+def test_null_max_uncovered_listed_keeps_the_default_cap(tmp_path):
+    # 21 window points, 5 uncovered: null lists them as an omitted key does
+    config = {"construction": {"name": "interval",
+                               "params": {"size": 3, "sep": 2}},
+              "space": {"kind": "plain-lattice", "axis_steps": [1]},
+              "window": {"box": [[0, 20]]}}
+    status, report = run_cli(
+        tmp_path, "verify",
+        {**config, "limits": {"max_uncovered_listed": None}})
+    _, omitted = run_cli(tmp_path, "verify", config)
+    assert (status, report["status"]) == (1, "fail")
+    assert report["report"] == omitted["report"]
+    assert report["report"]["uncovered_total"] == 5
+
+
 def test_unknown_limits_key_exits_two(tmp_path):
     # a misspelt node_budget would otherwise leave the run unbounded
     status, report = run_cli(tmp_path, "verify",

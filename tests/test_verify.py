@@ -278,25 +278,29 @@ def _one_fiber_keys(f0, t):
 
 
 # 2 fibers of 2 runs take 12 probes, in one pass.  On the cross-fiber keys
-# the marks show a hash on two fibers once the window is done, and the two
-# fibers' own claims tell the keys apart; the one-fiber keys carry one fiber
-# number and never become suspects.
-@pytest.mark.parametrize("key_of, cells, probe_count", [
-    (_cross_fiber_keys, 2, 12),
-    (_one_fiber_keys, 4, 12),
+# each fiber files the shared hash once, so it repeats once the window is
+# done, and walking the fibers again tells the keys apart: fiber 0 calls
+# fiber_runs again, and fiber 1, where the pass stopped, gives its filed
+# layouts.  Each fiber of the one-fiber keys files one hash for both of its
+# keys, and the two fibers' hashes differ, so nothing is walked.
+@pytest.mark.parametrize("key_of, cells, probe_count, runs_calls", [
+    (_cross_fiber_keys, 2, 12, 3),
+    (_one_fiber_keys, 4, 12, 2),
 ])
 def test_run_path_tells_apart_keys_that_share_a_hash(key_of, cells,
-                                                     probe_count):
+                                                     probe_count,
+                                                     runs_calls):
     # hash(-1) == hash(-2), so each scheme's keys collide in pairs: across
     # the two fibers, or within each fiber
     assert hash(-1) == hash(-2) and hash((0, -1)) == hash((0, -2))
-    probes = []
+    probes, calls = [], []
 
     def classify(p):
         probes.append(p)
         return (0, key_of(p[0], p[1]))
 
     def fiber_runs(fiber, t_lo, t_hi):
+        calls.append(fiber)
         return [(t_lo, 4, 0, key_of(fiber[0], 4)),
                 (5, t_hi, 0, key_of(fiber[0], 5))]
 
@@ -309,10 +313,12 @@ def test_run_path_tells_apart_keys_that_share_a_hash(key_of, cells,
     w = Window.make(box=((0, 1), (0, 9)))
     a = verify_cover(scheme, spec, w, mode="pointwise")
     probes.clear()
+    calls.clear()
     b = verify_cover(scheme, spec, w, mode="runs")
     assert {**a.to_json(), "mode": "runs"} == b.to_json()
     assert b.verdict == "pass" and b.record(0).cells_seen == cells
     assert len(probes) == probe_count
+    assert len(calls) == runs_calls
 
 
 # two fibers of RUN_AXIS_THRESHOLD + 1 points: "auto" picks the run path
@@ -580,8 +586,9 @@ def test_pointwise_keeps_only_the_listed_samples(classify, totals, first):
 
 
 def test_run_path_memory_per_cell():
-    # the run path keeps one run layout per group of cells and two ints per
-    # cell, not a record per cell: 34,391 staircase cells over 4,913 fibers
+    # the run path keeps one run layout per group of cells and at most one
+    # int per cell, not a record per cell: 34,391 staircase cells over 4,913
+    # fibers
     scheme = staircase_cover(2, 3, height_interval=(3, 3))
     spec = LatticeSpace((4, 4, 4, 1, 1))
     w = Window.make(axis_boxes={0: (-32, 32), 1: (-32, 32), 2: (-32, 32),
@@ -594,7 +601,26 @@ def test_run_path_memory_per_cell():
         tracemalloc.stop()
     cells = sum(r.cells_seen for r in rep.per_color)
     assert (rep.verdict, cells) == ("pass", 34391)
-    assert peak / cells < 60
+    assert peak / cells < 33
+
+
+def test_negative_run_indices_walk_no_fiber_again():
+    # on t in [-3 * 2920, -1] every fiber holds the keys (x, -1) and (x, -2),
+    # which share a hash: each fiber files it once, so no hash repeats and
+    # fiber_runs is called once per fiber
+    scheme = staircase_cover(2, 3, height_interval=(3, 3))
+    calls = Counter()
+
+    def fiber_runs(fiber, t_lo, t_hi):
+        calls[fiber] += 1
+        return scheme.fiber_runs(fiber, t_lo, t_hi)
+
+    counted = dataclasses.replace(scheme, fiber_runs=fiber_runs)
+    w = Window.make(axis_boxes={0: (-32, 32), 1: (-32, 32), 2: (-32, 32),
+                                3: (-3 * 2920, -1), 4: (3, 3)})
+    rep = verify_cover(counted, LatticeSpace((4, 4, 4, 1, 1)), w, mode="runs")
+    assert rep.verdict == "pass"
+    assert (len(calls), sum(calls.values())) == (4913, 4913)
 
 
 def test_report_json_round_trip_fields():
