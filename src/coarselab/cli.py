@@ -407,7 +407,8 @@ def run_experiment(kind: str, config: dict, *, out: str | None = None,
         if runner is None:
             raise ConfigError(f"unknown experiment kind {kind!r}")
         body = runner(config, limits)
-    except (ValueError, VerifyError, KeyError, TypeError) as exc:
+    except (ValueError, VerifyError, KeyError, TypeError, OverflowError,
+            RecursionError) as exc:
         body = {"status": "error", "message": f"{type(exc).__name__}: {exc}"}
     if isinstance(config, dict):
         config = {**config, "kind": kind, "limits": limits}

@@ -51,9 +51,6 @@ class FinFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    def __contains__(self, s) -> bool:
-        return frozenset(s) in self.members
-
     def __le__(self, other: "FinFamily") -> bool:
         return self.members <= other.members
 

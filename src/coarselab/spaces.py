@@ -204,10 +204,10 @@ class Window:
         }
 
 
-def multiples_in(lo: int, hi: int, step: int) -> list[int]:
+def multiples_in(lo: int, hi: int, step: int) -> range:
     """All multiples of `step` inside the inclusive interval [lo, hi]."""
     first = -((-lo) // step) * step
-    return list(range(first, hi + 1, step))
+    return range(first, hi + 1, step)
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +297,8 @@ def shift_distance(x: ShiftPoint, y: ShiftPoint) -> int:
 class SpaceSpec:
     """Which space is in play.  One subclass per kind, built by its own
     constructor; each defines `validate(p)`, `iter(window)`,
-    `rows(points)`, and the per-level axis lists `_blocks(window)` that
-    `size` counts (or its own `size`)."""
+    `rows(points)`, and the per-level per-axis ranges `_blocks(window)`
+    that `size` counts (or its own `size`)."""
 
     l1: ClassVar[bool] = False  # rows are measured in l1, else in l-infinity
 
@@ -355,7 +355,7 @@ class TowerSpace(SpaceSpec):
                     f"of level {p.level}"
                 )
 
-    def _blocks(self, w: Window) -> Iterator[tuple[int, list]]:
+    def _blocks(self, w: Window) -> Iterator[tuple[int, list[range]]]:
         if w.levels is None:
             raise WindowError("tower window needs a level range")
         lo, hi = w.levels
@@ -407,8 +407,7 @@ class ProductSpace(SpaceSpec):
         return self.first.size(w) * self.second.size(w)
 
     def iter(self, w: Window) -> Iterator[tuple]:
-        yield from itertools.product(list(self.first.iter(w)),
-                                     list(self.second.iter(w)))
+        yield from itertools.product(self.first.iter(w), self.second.iter(w))
 
     def rows(self, points: Sequence[tuple]) -> list[tuple[int, ...]]:
         firsts = self.first.rows([p[0] for p in points])
@@ -430,7 +429,7 @@ class ShiftUnionSpace(SpaceSpec):
         if problem is not None:
             raise SpaceError(problem)
 
-    def _blocks(self, w: Window) -> Iterator[tuple[int, list]]:
+    def _blocks(self, w: Window) -> Iterator[tuple[int, list[range]]]:
         if w.levels is None or w.max_support is None:
             raise WindowError("shift window needs levels and max_support")
         lo, hi = w.levels
@@ -485,13 +484,16 @@ class LatticeSpace(SpaceSpec):
                     f"coord {c} at axis {j} not divisible by {s}"
                 )
 
-    def _blocks(self, w: Window) -> Iterator[tuple[int, list]]:
-        yield 0, [multiples_in(*w.axis_box(j), s)
-                  for j, s in enumerate(self.axis_steps)]
+    def axes(self, w: Window) -> list[range]:
+        """The values of each axis inside `w`, one range per axis."""
+        return [multiples_in(*w.axis_box(j), s)
+                for j, s in enumerate(self.axis_steps)]
+
+    def _blocks(self, w: Window) -> Iterator[tuple[int, list[range]]]:
+        yield 0, self.axes(w)
 
     def iter(self, w: Window) -> Iterator[tuple[int, ...]]:
-        for _, axes in self._blocks(w):
-            yield from itertools.product(*axes)
+        return itertools.product(*self.axes(w))
 
     def rows(self, points: Sequence[tuple]) -> Sequence[tuple]:
         """The input list itself: a lattice point is already its row."""

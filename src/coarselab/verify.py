@@ -48,7 +48,6 @@ from .spaces import (
     iter_window,
     l1_distance,
     lattice_max_distance,
-    multiples_in,
     sorted_min_gap,
 )
 
@@ -504,14 +503,9 @@ def _verify_pointwise(s, spec, w, max_listed) -> VerificationReport:
 def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
     mov = s.moving_axis
     t_lo, t_hi = w.axis_box(mov)
-    fiber_axes = [i for i in range(len(spec.axis_steps)) if i != mov]
-    value_lists = []
-    for i in fiber_axes:
-        a, b = w.axis_box(i)
-        value_lists.append(multiples_in(a, b, spec.axis_steps[i]))
-    fiber_count = 1
-    for vals in value_lists:
-        fiber_count *= len(vals)
+    axes = spec.axes(w)
+    del axes[mov]
+    fiber_count = math.prod(map(len, axes))
     if point_budget is not None and fiber_count > point_budget:
         raise BudgetExceeded(
             f"window holds {fiber_count} fibers, budget is {point_budget}"
@@ -536,7 +530,7 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
     layouts: dict[tuple, tuple] = {}  # (color, key) -> this fiber's runs
     fault = None
     try:
-        for fiber in itertools.product(*value_lists):
+        for fiber in itertools.product(*axes):
             layouts = {}
             try:
                 runs = fiber_runs(fiber, t_lo, t_hi)
@@ -594,8 +588,8 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
         # so such a cell outranks the fault, which stands only without one
         _file(layouts, fiber, by_layout, marks)
         fault = exc
-    _claim_on_two_fibers(marks, fiber, layouts, value_lists, fiber_runs,
-                         t_lo, t_hi, by_layout)
+    _claim_on_two_fibers(marks, fiber, layouts, axes, fiber_runs, t_lo, t_hi,
+                         by_layout)
     if fault is not None:
         raise fault
     return _finish_report(s, w, by_layout, _measure_color_runs, uncovered,
@@ -613,7 +607,7 @@ def _file(layouts: dict, fiber: tuple, by_layout: dict, marks: list) -> None:
 
 
 def _claim_on_two_fibers(marks: list, fiber: tuple, layouts: dict,
-                         value_lists: list, fiber_runs, t_lo: int, t_hi: int,
+                         axes: list, fiber_runs, t_lo: int, t_hi: int,
                          by_layout: dict) -> None:
     """Raise `MultiFiberCell` if two fibers filed one claim.  A fiber files
     each hash once, so a hash repeated in a bucket comes from two fibers,
@@ -629,7 +623,7 @@ def _claim_on_two_fibers(marks: list, fiber: tuple, layouts: dict,
     if not repeated:
         return
     owner: dict = {}
-    for each in itertools.product(*value_lists):
+    for each in itertools.product(*axes):
         claims = layouts
         if each != fiber:
             try:
@@ -695,8 +689,7 @@ def find_fiber_witnesses(families: Sequence, fibers: Sequence,
     box_points = sorted(box)
     records: list[tuple] = []
     for fiber in fibers:
-        schemes = [fam(fiber) if callable(fam) and not isinstance(fam, CoverScheme)
-                   else fam for fam in families]
+        schemes = [fam(fiber) if callable(fam) else fam for fam in families]
         witness = None
         for p in box_points:
             if all(sch.classify(p) is None for sch in schemes):
@@ -815,11 +808,8 @@ def oracle_1d_nocover(n: int, R: int, colors: int,
         raise VerifyError("the exhaustive search supports 1 or 2 colors")
     if n < 1 or R < 1:
         raise VerifyError("n and R must be >= 1")
-    lo, hi = window
-    points = list(range(lo, hi + 1))
+    lo, hi = map(operator.index, window)  # as range() would, refuse floats
     params = {"n": n, "R": R, "colors": colors}
-    if not points:
-        return OracleOutcome("feasible", [], 0, window, params)
 
     failed: set = set()
     nodes = 0
@@ -865,8 +855,8 @@ def oracle_1d_nocover(n: int, R: int, colors: int,
     assignment: list = []
     stack: list = []
     idx, state, clusters = 0, (None,) * colors, (0,) * colors
-    while idx < len(points):
-        p = points[idx]
+    while lo + idx <= hi:
+        p = lo + idx
         key = (idx, canon(state, p))
         if key not in failed:
             nodes += 1

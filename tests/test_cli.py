@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coarselab
+from coarselab import acceptance
 from coarselab.cli import (
     RUNNERS,
     SPACE_BUILDERS,
@@ -359,6 +361,83 @@ def test_saturated_union_over_budget_is_inconclusive(tmp_path):
                           {**config, "limits": {"node_budget": 2}},
                           out=str(out)) == 0
     assert json.loads(out.read_text())["report"]["output_points"] == 4
+
+
+def test_budget_refusal_does_not_list_the_window(tmp_path):
+    # 2,000,001 points against a budget of 1000: counted, never listed
+    config = {
+        "construction": {"name": "grid", "params": {"dim": 1, "gap": 5}},
+        "space": {"kind": "plain-lattice", "axis_steps": [1]},
+        "window": {"box": [[-1000000, 1000000]]},
+    }
+    out = tmp_path / "report.json"
+    tracemalloc.start()
+    try:
+        status = run_experiment("verify-cover", config, out=str(out),
+                                budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 2
+    assert json.loads(out.read_text())["report"]["reason"] == (
+        "window holds 2000001 points, budget is 1000")
+    assert peak < 2 ** 20
+
+
+def _nested_key(depth):
+    key = 0
+    for _ in range(depth):
+        key = [key]
+    return key
+
+
+HUGE = [0, 10 ** 20]  # wider than a machine int can count
+
+
+@pytest.mark.parametrize("command, config, status, result", [
+    ("satunion", {"V": {"cells": [{"key": _nested_key(600),
+                                   "points": [[0]]}]},
+                  "U": {"cells": []}, "r": 1}, 2, "error"),
+    ("verify", {"construction": {"name": "grid",
+                                 "params": {"dim": 1, "gap": 5}},
+                "space": {"kind": "plain-lattice", "axis_steps": [1]},
+                "window": {"box": [HUGE]}}, 2, "error"),
+    ("witness", {"families": [{"name": "interval",
+                               "params": {"size": 3, "sep": 2}}],
+                 "fibers": [[0]], "box": HUGE}, 2, "error"),
+    ("control", {"map": {"name": "phi-tower", "params": {"n": 1}},
+                 "domain": {"kind": "tower"},
+                 "window": {"levels": [1, 1], "box": HUGE}}, 2, "error"),
+    # the search stops at the first cluster too wide to close
+    ("oracle1d", {"n": 3, "R": 5, "colors": 1, "window": HUGE},
+     1, "infeasible"),
+], ids=["satunion-deep-key", "verify", "witness", "control", "oracle1d"])
+def test_deep_keys_and_huge_windows_get_a_report(tmp_path, command, config,
+                                                 status, result):
+    code, report = run_cli(tmp_path, command, config, ["--budget", "50"])
+    assert (code, report["status"]) == (status, result)
+    if command == "oracle1d":
+        assert report["report"]["nodes_explored"] <= 50
+
+
+def test_suite_command_runs_each_criterion(monkeypatch, capsys):
+    monkeypatch.setattr(acceptance, "CRITERIA", (
+        ("oracle-1d", acceptance.criterion_oracle),
+        ("saturated-union", acceptance.criterion_saturated_union)))
+    assert run_experiment("suite", {"seed": 7}) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("[PASS] ") for line in lines) == 2
+    report = json.loads("\n".join(lines[2:]))
+    assert report["status"] == "pass"
+    assert (report["report"]["criteria"][1]["details"]
+            == acceptance.criterion_saturated_union(7).details)
+
+    def failing():
+        return acceptance.CriterionResult("always fails", False, 0.0, 1.0)
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (("failing", failing),))
+    assert run_experiment("suite", {}) == 1
+    assert "[FAIL] always fails" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

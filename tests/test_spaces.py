@@ -155,9 +155,9 @@ def test_shift_membership_checked_by_space_not_constructor():
 # ---------------------------------------------------------------------------
 
 def test_multiples_in():
-    assert multiples_in(-4, 4, 4) == [-4, 0, 4]
-    assert multiples_in(1, 7, 3) == [3, 6]
-    assert multiples_in(0, 0, 5) == [0]
+    assert list(multiples_in(-4, 4, 4)) == [-4, 0, 4]
+    assert list(multiples_in(1, 7, 3)) == [3, 6]
+    assert list(multiples_in(0, 0, 5)) == [0]
 
 
 def test_enumerate_level_one_identity_tower():

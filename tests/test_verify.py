@@ -236,6 +236,12 @@ def test_budget_guard():
     with pytest.raises(BudgetExceeded):
         verify_cover(grid_cover(2, 5), LatticeSpace((1, 1)),
                      Window.make(box=(-500, 500)), point_budget=1000)
+    # the run path counts fibers: 17 even values on each of two axes
+    scheme = staircase_cover(1, 2, dim=2, height_interval=(1, 1))
+    w = Window.make(axis_boxes={0: (-16, 16), 1: (-16, 16), 2: (0, 10 ** 6),
+                                3: (1, 1)})
+    with pytest.raises(BudgetExceeded, match="holds 289 fibers"):
+        verify_cover(scheme, LatticeSpace((2, 2, 1, 1)), w, point_budget=100)
 
 
 def _shared_cell_scheme(bound, calls=None):
@@ -367,15 +373,17 @@ def _two_fiber_scheme(key_0, key_1, fault, key_2="b"):
     """Fiber 0 is one run keyed `key_0`; fiber 1 is a run keyed `key_1` on
     [0, 4], then a run keyed `key_2`.  `fault` breaks fiber 1 at one run:
     ("disagree", i) makes classify disagree with run i, ("raise", i) makes
-    classify raise on it, "short" makes fiber 1's runs stop at t=8, and
-    "no runs" makes fiber_runs raise on fiber 1."""
+    classify raise on it, "end" makes classify disagree at t=9 only,
+    "short" makes fiber 1's runs stop at t=8, "gap" makes its second run
+    start at t=6, and "no runs" makes fiber_runs raise on fiber 1."""
     def fiber_runs(fiber, t_lo, t_hi):
         if fiber == (0,):
             return [(t_lo, t_hi, 0, key_0)]
         if fault == "no runs":
             raise ZeroDivisionError("fiber_runs broke")
         return [(t_lo, 4, 0, key_1),
-                (5, 8 if fault == "short" else t_hi, 0, key_2)]
+                (6 if fault == "gap" else 5,
+                 8 if fault == "short" else t_hi, 0, key_2)]
 
     def classify(p):
         f, t = p
@@ -384,7 +392,7 @@ def _two_fiber_scheme(key_0, key_1, fault, key_2="b"):
         run = 0 if t <= 4 else 1
         if fault == ("raise", run):
             raise ZeroDivisionError("classify broke")
-        if fault == ("disagree", run):
+        if fault == ("disagree", run) or (fault == "end" and t == 9):
             return (0, "elsewhere")
         return (0, key_1 if run == 0 else key_2)
 
@@ -398,7 +406,8 @@ def _two_fiber_scheme(key_0, key_1, fault, key_2="b"):
 TWO_FIBERS = Window.make(box=((0, 1), (0, 9)))
 
 
-@pytest.mark.parametrize("fault", [("disagree", 1), ("raise", 1), "short"])
+@pytest.mark.parametrize("fault", [("disagree", 1), ("raise", 1), "short",
+                                   "gap", "end"])
 def test_a_cell_on_two_fibers_outranks_a_later_fault(fault):
     # fiber 1's first run puts cell "a" on its second fiber before the fault
     scheme = _two_fiber_scheme("a", "a", fault)
@@ -406,16 +415,23 @@ def test_a_cell_on_two_fibers_outranks_a_later_fault(fault):
         verify_cover(scheme, LatticeSpace((1, 1)), TWO_FIBERS, mode="runs")
 
 
-@pytest.mark.parametrize("key_0, key_1, key_2, fault", [
-    ("a", "a", "b", ("disagree", 0)),   # the fault comes before the 2nd claim
-    (-1, -2, "b", ("disagree", 1)),     # the keys share a hash but differ
+DISAGREES = "disagrees with classify"
+
+
+@pytest.mark.parametrize("key_0, key_1, key_2, fault, message", [
+    # the fault comes before the 2nd claim
+    ("a", "a", "b", ("disagree", 0), DISAGREES),
+    (-1, -2, "b", ("disagree", 1), DISAGREES),  # keys share a hash, differ
     # fiber 1's faulted run claims key_0's cell, but was never filed
-    (-1, -2, -1, ("disagree", 1)),
-], ids=["a-a-fault0", "-1--2-fault1", "-1--2--1-fault1"])
+    (-1, -2, -1, ("disagree", 1), DISAGREES),
+    (-1, -2, "b", "end", "t=9 " + DISAGREES),   # only the last point
+    (-1, -2, "b", "gap", r"runs do not tile \[0,9\]"),
+], ids=["a-a-fault0", "-1--2-fault1", "-1--2--1-fault1", "-1--2-end",
+        "-1--2-gap"])
 def test_a_fault_before_any_cell_on_two_fibers_stands(key_0, key_1, key_2,
-                                                      fault):
+                                                      fault, message):
     scheme = _two_fiber_scheme(key_0, key_1, fault, key_2)
-    with pytest.raises(VerifyError, match="disagrees with classify") as info:
+    with pytest.raises(VerifyError, match=message) as info:
         verify_cover(scheme, LatticeSpace((1, 1)), TWO_FIBERS, mode="runs")
     assert type(info.value) is VerifyError
 
@@ -425,6 +441,19 @@ def test_a_fiber_whose_runs_raise_files_no_claims():
     scheme = _two_fiber_scheme("a", "a", "no runs")
     with pytest.raises(ZeroDivisionError, match="fiber_runs broke"):
         verify_cover(scheme, LatticeSpace((1, 1)), TWO_FIBERS, mode="runs")
+
+    # a fiber whose runs raise SpaceError files nothing and is walked past:
+    # fibers 0 and 2 still meet on one cell
+    def fiber_runs(fiber, t_lo, t_hi):
+        if fiber == (1,):
+            raise SpaceError("not a fiber")
+        return [(t_lo, t_hi, 0, "shared")]
+
+    scheme = dataclasses.replace(_shared_cell_scheme(9),
+                                 fiber_runs=fiber_runs)
+    with pytest.raises(MultiFiberCell):
+        verify_cover(scheme, LatticeSpace((1, 1)),
+                     Window.make(box=((0, 2), (0, 9))), mode="runs")
 
 
 @st.composite
