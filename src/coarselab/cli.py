@@ -49,6 +49,7 @@ from .verify import (
     BudgetExceeded,
     VerifyError,
     assignment_scheme,
+    check_budget,
     check_coarse_control,
     find_fiber_witnesses,
     oracle_1d_nocover,
@@ -189,28 +190,16 @@ def parse_family(cfg: dict) -> FiniteFamily:
 # experiment kinds
 # ---------------------------------------------------------------------------
 
-def _over_budget(limits: dict, work: int, what: str) -> dict | None:
-    """The inconclusive report of a run whose `work`, counted in its own
-    units and described by `what`, exceeds `limits.node_budget`."""
-    budget = limits.get("node_budget")
-    if budget is None or work <= budget:
-        return None
-    return {"status": "inconclusive", "reason": f"{what}, budget is {budget}"}
-
-
 def run_verify(cfg: dict, limits: dict) -> dict:
     space = parse_space(cfg["space"])
     scheme = build_construction(cfg["construction"], space)
     window = parse_window(cfg["window"])
     listed = limits.get("max_uncovered_listed")
-    try:
-        report = verify_cover(
-            scheme, space, window,
-            point_budget=limits.get("node_budget"),
-            max_uncovered_listed=20 if listed is None else listed,
-        )
-    except BudgetExceeded as exc:
-        return {"status": "inconclusive", "reason": str(exc)}
+    report = verify_cover(
+        scheme, space, window,
+        point_budget=limits.get("node_budget"),
+        max_uncovered_listed=20 if listed is None else listed,
+    )
     body = report.to_json()
     body["status"] = "pass" if report.passed else "fail"
     body["colors"] = scheme.colors
@@ -224,10 +213,9 @@ def run_witness(cfg: dict, limits: dict) -> dict:
     fibers = [parse_point(f) for f in cfg["fibers"]]
     # each fiber may scan every box point
     probes = len(fibers) * len(range(box_lo, box_hi + 1)) ** dim
-    over = _over_budget(limits, probes, f"{len(fibers)} fibers over the box "
-                                        f"make {probes} fiber-point probes")
-    if over is not None:
-        return over
+    check_budget(limits.get("node_budget"), probes,
+                 f"{len(fibers)} fibers over the box make {probes} "
+                 f"fiber-point probes")
     box = [tuple(p)
            for p in itertools.product(range(box_lo, box_hi + 1), repeat=dim)]
     result = find_fiber_witnesses(families, fibers, box)
@@ -258,9 +246,8 @@ def run_control(cfg: dict, limits: dict) -> dict:
     window = parse_window(cfg["window"])
     # every pair of window points is checked
     pairs = math.comb(domain.size(window), 2)
-    over = _over_budget(limits, pairs, f"window holds {pairs} point pairs")
-    if over is not None:
-        return over
+    check_budget(limits.get("node_budget"), pairs,
+                 f"window holds {pairs} point pairs")
     report = check_coarse_control(m, domain, codomain, window)
     body = report.to_json()
     body["status"] = "pass" if report.passed else "fail"
@@ -288,10 +275,8 @@ def run_ord(cfg: dict, limits: dict) -> dict:
     # the rank recursion and the inclusive closure each visit up to every
     # nonempty subset of every member
     subsets = sum((1 << len(m)) - 1 for m in family.members)
-    over = _over_budget(limits, subsets, f"family members have {subsets} "
-                                         f"nonempty subsets")
-    if over is not None:
-        return over
+    check_budget(limits.get("node_budget"), subsets,
+                 f"family members have {subsets} nonempty subsets")
     body = {
         "status": "ok",
         "rank": ord_rank(family),
@@ -306,11 +291,9 @@ def run_satunion(cfg: dict, limits: dict) -> dict:
     U = parse_family(cfg["U"])
     # every U-cell is measured against every V-cell
     pairs = len(U.cells) * len(V.cells)
-    over = _over_budget(limits, pairs, f"{len(U.cells)} U-cells by "
-                                       f"{len(V.cells)} V-cells make {pairs} "
-                                       f"cell pairs")
-    if over is not None:
-        return over
+    check_budget(limits.get("node_budget"), pairs,
+                 f"{len(U.cells)} U-cells by {len(V.cells)} V-cells make "
+                 f"{pairs} cell pairs")
     space = parse_space(cfg["space"]) if "space" in cfg else None
     out = saturated_union(V, U, cfg["r"], space)
     points = V.point_union() | U.point_union()
@@ -407,6 +390,9 @@ def run_experiment(kind: str, config: dict, *, out: str | None = None,
         if runner is None:
             raise ConfigError(f"unknown experiment kind {kind!r}")
         body = runner(config, limits)
+    except BudgetExceeded as exc:
+        # a VerifyError too, so it is caught first: a refusal, not an error
+        body = {"status": "inconclusive", "reason": str(exc)}
     except (ValueError, VerifyError, KeyError, TypeError, OverflowError,
             RecursionError) as exc:
         body = {"status": "error", "message": f"{type(exc).__name__}: {exc}"}
@@ -450,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
             # ValueError covers JSONDecodeError and UnicodeDecodeError
             print(json.dumps({"status": "error", "message": str(exc),
                               "version": __version__}))
-            return 2
+            return EXIT_STATUS["error"]
     else:
         config = {}
     return run_experiment(

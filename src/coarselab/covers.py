@@ -189,14 +189,6 @@ def grid_cover(dim: int, gap: int) -> CoverScheme:
     if dim < 0:
         raise CoverError("dimension must be >= 0")
 
-    if dim == 0:
-        def classify_zero(p) -> "tuple[int, CellKey] | None":
-            return (0, ())
-        return CoverScheme(
-            classify=classify_zero, colors=1,
-            declared_separation={0: gap}, declared_bound={0: 1},
-        )
-
     def classify(p) -> "tuple[int, CellKey] | None":
         if len(p) != dim:
             raise SpaceError(f"grid cover expects {dim}-tuples")

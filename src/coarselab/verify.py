@@ -63,7 +63,14 @@ class VerifyError(RuntimeError):
 
 
 class BudgetExceeded(VerifyError):
-    """The window is larger than the allowed enumeration budget."""
+    """The work a request asks for is over its budget."""
+
+
+def check_budget(budget: int | None, work: int, what: str) -> None:
+    """Refuse `work`, counted in its own units and described by `what`, when
+    it exceeds `budget`; None is no budget."""
+    if budget is not None and work > budget:
+        raise BudgetExceeded(f"{what}, budget is {budget}")
 
 
 class MultiFiberCell(VerifyError):
@@ -394,10 +401,7 @@ def verify_cover(s: CoverScheme, spec: SpaceSpec, w: Window, *,
                     or spec.size(w) > point_budget):
                 raise
     size = spec.size(w)
-    if point_budget is not None and size > point_budget:
-        raise BudgetExceeded(
-            f"window holds {size} points, budget is {point_budget}"
-        )
+    check_budget(point_budget, size, f"window holds {size} points")
     return _verify_pointwise(s, spec, w, max_uncovered_listed)
 
 
@@ -506,10 +510,8 @@ def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:
     axes = spec.axes(w)
     del axes[mov]
     fiber_count = math.prod(map(len, axes))
-    if point_budget is not None and fiber_count > point_budget:
-        raise BudgetExceeded(
-            f"window holds {fiber_count} fibers, budget is {point_budget}"
-        )
+    check_budget(point_budget, fiber_count,
+                 f"window holds {fiber_count} fibers")
 
     # per color: {layout: [fiber, ...]}; and MARK_BUCKETS buckets of marks,
     # one per distinct hash of the claims of each finished fiber.  The

@@ -89,6 +89,21 @@ def test_verify_budget_is_inconclusive(tmp_path):
                              extra=("--budget", "1000"))
     assert status == 2
     assert report["status"] == "inconclusive"
+    assert report["report"]["reason"] == ("window holds 641601 points, "
+                                          "budget is 1000")
+    # the run path counts fibers: 5 x 5 on the scaled axes, one height
+    runs = {
+        "construction": {"name": "staircase",
+                         "params": {"n": 1, "r": 2, "height": [1, 1]}},
+        "space": {"kind": "plain-lattice", "axis_steps": [2, 2, 1, 1]},
+        "window": {"axis_boxes": {"0": [-4, 4], "1": [-4, 4],
+                                  "2": [0, 10000], "3": [1, 1]}},
+    }
+    status, report = run_cli(tmp_path, "verify", runs,
+                             extra=("--budget", "10"))
+    assert (status, report["status"]) == (2, "inconclusive")
+    assert report["report"]["reason"] == ("window holds 25 fibers, "
+                                          "budget is 10")
 
 
 def test_verify_tower_space_config(tmp_path):
@@ -295,6 +310,8 @@ def test_ord_rank_over_budget_is_inconclusive(tmp_path):
                              ["--budget", "1000"])
     assert status == 2
     assert report["status"] == "inconclusive"
+    assert report["report"]["reason"] == ("family members have 1048575 "
+                                          "nonempty subsets, budget is 1000")
     # [[1, 2], [3]] has 3 + 1 subsets: within a budget of 4, over one of 3
     family = {"family": [[1, 2], [3]]}
     assert run_cli(tmp_path, "ord", family, ["--budget", "4"])[0] == 0

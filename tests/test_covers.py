@@ -76,6 +76,10 @@ def test_grid_dim_zero_covers_the_one_point():
     g = grid_cover(0, 5)
     assert g.colors == 1
     assert g.classify(()) == (0, ())
+    # the one point is the 0-tuple: longer points are refused, as in every
+    # other dimension
+    with pytest.raises(SpaceError, match="expects 0-tuples"):
+        g.classify((3,))
 
 
 def test_grid_classification_is_deterministic():

@@ -2,6 +2,7 @@
 witness search, coarse controls and the exhaustive 1-D search."""
 
 import dataclasses
+import hashlib
 import itertools
 import json
 from collections import Counter
@@ -172,6 +173,12 @@ def test_zero_point_window_passes_with_empty_colors():
     w = Window.make(box=((1, 4),))  # no multiples of 5 inside
     rep = verify_cover(grid_cover(1, 3), spec, w)
     assert rep.points_seen == 0
+    assert rep.verdict == "pass-with-empty-color"
+    # with no colors there is no empty color: only the empty window says so
+    no_colors = CoverScheme(classify=lambda p: None, colors=0,
+                            declared_separation={}, declared_bound={})
+    rep = verify_cover(no_colors, spec, w)
+    assert (rep.points_seen, rep.per_color) == (0, [])
     assert rep.verdict == "pass-with-empty-color"
 
 
@@ -852,6 +859,26 @@ def test_oracle_long_windows_do_not_hit_the_recursion_limit(hi):
     assert out.status == "feasible"
     assert out.nodes_explored == hi + 1
     assert out.assignment == _period_eight_cover(hi)
+
+
+def test_oracle_status_and_nodes_are_pinned_over_small_instances():
+    # every (n, R, colors) with n <= 6, R <= 8 over windows [0, size - 1] of
+    # 1-24 points: the memo's clamps decide how many states are explored,
+    # so a loosened clamp shows in nodes_explored before it shows in status
+    rows = [[n, R, colors, size, out.status, out.nodes_explored]
+            for n in range(1, 7) for R in range(1, 9) for colors in (1, 2)
+            for size in range(1, 25)
+            for out in [oracle_1d_nocover(n, R, colors, (0, size - 1))]]
+    assert len(rows) == 2304
+    pinned = {(n, R, colors, size): (status, nodes)
+              for n, R, colors, size, status, nodes in rows}
+    assert pinned[1, 1, 1, 1] == ("feasible", 1)
+    assert pinned[3, 5, 1, 11] == ("infeasible", 7)
+    assert pinned[3, 5, 2, 24] == ("feasible", 24)
+    assert pinned[6, 3, 2, 9] == ("infeasible", 30)
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == ("76a7c782baa97f489bcc271c419517ab"
+                      "4d4cb21b7c8838d17932be90ab6cf60b")
 
 
 def test_oracle_budget_yields_inconclusive():
