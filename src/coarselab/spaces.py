@@ -355,12 +355,16 @@ class TowerSpace(SpaceSpec):
                     f"of level {p.level}"
                 )
 
-    def _blocks(self, w: Window) -> Iterator[tuple[int, list[range]]]:
+    def _level_range(self, w: Window) -> Interval:
         if w.levels is None:
             raise WindowError("tower window needs a level range")
         lo, hi = w.levels
         if lo < 1:
             raise WindowError("tower levels start at 1")
+        return lo, hi
+
+    def _blocks(self, w: Window) -> Iterator[tuple[int, list[range]]]:
+        lo, hi = self._level_range(w)
         for level in range(lo, hi + 1):
             s = self.step(level)
             axes = [multiples_in(*w.axis_box(j), s) for j in range(level)]
@@ -368,6 +372,30 @@ class TowerSpace(SpaceSpec):
                 a, b = w.axis_box(hi + j)
                 axes.append(range(a, b + 1))
             yield level, axes
+
+    def size(self, w: Window) -> int:
+        """`_blocks`' count, and its `WindowError`s in its order, with each
+        level's scaled axes grouped by their box: a box shared by k axes
+        counts its multiples of the level's step once, to the power k."""
+        lo, hi = self._level_range(w)
+        shared: dict[Interval, int] = {}  # box -> scaled axes it holds
+
+        def add_axis(j: int) -> None:
+            a, b = w.axis_box(j)
+            shared[a, b] = shared.get((a, b), 0) + 1
+
+        for j in range(lo):
+            add_axis(j)
+        extra = math.prod(len(range(a, b + 1)) for a, b in (
+            w.axis_box(hi + j) for j in range(self.factor_dim)))
+        total = 0
+        for level in range(lo, hi + 1):
+            if level > lo:
+                add_axis(level - 1)
+            s = self.step(level)
+            total += extra * math.prod(len(multiples_in(a, b, s)) ** k
+                                       for (a, b), k in shared.items())
+        return total
 
     def iter(self, w: Window) -> Iterator[TowerPoint]:
         for level, axes in self._blocks(w):

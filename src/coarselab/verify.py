@@ -53,8 +53,9 @@ from .spaces import (
 
 # bench/tracing.py replaces `iter_window`, `lattice_max_distance` and
 # `space_distance` in this module to time those layers, so all three stay
-# bound here and are looked up at call time.  Every l-infinity distance this
-# module takes passes through `lattice_max_distance`; nothing here calls
+# bound here and are looked up at call time.  Only the exact step of
+# l-infinity separation passes through `lattice_max_distance`; diameters and
+# coarse-control pairs are measured column by column, and nothing here calls
 # `space_distance`.
 
 
@@ -259,19 +260,30 @@ def _min_separation_points(cells: list[list], boxes: list, dim: int,
     return best
 
 
+def _later_row_distances(cols: list, n: int, l1: bool) -> Iterator[list]:
+    """For each row i of the `n` rows held as the column lists `cols`, the
+    list of its distances to rows i + 1, ..., n - 1 in that order.  Each
+    column gives its gaps to the later rows, and the gaps of one pair are
+    folded by `sum` under l1 or by `max` under l-infinity.  With no columns
+    every distance is 0."""
+    if not cols:
+        cols = [[0] * n]
+    fold = sum if l1 else max
+    for i in range(n - 1):
+        gaps = [map(abs, map(operator.sub, itertools.repeat(col[i]),
+                             col[i + 1:]))
+                for col in cols]
+        yield list(map(fold, zip(*gaps)))
+
+
 def _diameter(flat: list, dim: int, box, l1: bool) -> int:
     """The widest box extent under l-infinity; under l1 the largest distance
-    of each row to the later rows, summed column by column."""
+    of each row to the later rows, measured column by column."""
     if not l1:
         return max((hi - lo for lo, hi in box), default=0)
-    cols = _columns(flat, dim)
-    diam = 0
-    for i in range(len(flat) // dim - 1):
-        gaps = [map(abs, map(operator.sub, col[i + 1:],
-                             itertools.repeat(col[i])))
-                for col in cols]
-        diam = max(diam, max(map(sum, zip(*gaps)), default=0))
-    return diam
+    distances = _later_row_distances(_columns(flat, dim), len(flat) // dim,
+                                     True)
+    return max(map(max, distances), default=0)
 
 
 def _measure_color_points(cells: dict, dim: int, l1: bool):
@@ -735,6 +747,18 @@ class ControlReport:
         }
 
 
+def _row_columns(rows: Sequence) -> list:
+    """The columns of `rows`, none when there is no pair of rows.  Rows of
+    two lengths raise `SpaceError`, as the pairwise l-infinity metric does,
+    and a row with no length raises its `TypeError`."""
+    if len(rows) < 2:
+        return []
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
+        raise SpaceError("dimension mismatch")
+    return list(zip(*rows))
+
+
 def check_coarse_control(m: MapSpec, domain: SpaceSpec,
                          codomain: SpaceSpec | None = None,
                          w: Window | None = None, *,
@@ -746,7 +770,9 @@ def check_coarse_control(m: MapSpec, domain: SpaceSpec,
     Each side is measured on rows computed once: the points on
     `domain.rows`, the images on `codomain.rows`, or, with no codomain, the
     images themselves as integer rows under l-infinity.  The points are the
-    window's, or the explicit `points` list.
+    window's, or the explicit `points` list.  Pairs are measured row against
+    later rows, column by column, one row's pairs at a time on both sides;
+    only a row with a violating pair is walked pair by pair, in order.
     """
     lower, upper = m.lower, m.upper
     if points is None:
@@ -756,22 +782,27 @@ def check_coarse_control(m: MapSpec, domain: SpaceSpec,
     images = [evaluate_map(m, p) for p in points]
     xs = domain.rows(points)
     ys = images if codomain is None else codomain.rows(images)
-    d_dom = _row_distance(domain.l1)
-    d_cod = _row_distance(codomain is not None and codomain.l1)
+    n = len(points)
+    by_row = zip(
+        _later_row_distances(_row_columns(xs), n, domain.l1),
+        _later_row_distances(_row_columns(ys), n,
+                             codomain is not None and codomain.l1))
     violations = []
     stretch: int | None = None
     pairs = 0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            pairs += 1
-            dx = d_dom(xs[i], xs[j])
-            dy = d_cod(ys[i], ys[j])
-            s = dy - dx
-            if stretch is None or s > stretch:
-                stretch = s
-            if not (lower(dx) <= dy <= upper(dx)):
-                if len(violations) < 100:
+    for i, (dxs, dys) in enumerate(by_row):
+        pairs += len(dxs)
+        s = max(map(operator.sub, dys, dxs))
+        if stretch is None or s > stretch:
+            stretch = s
+        if len(violations) < 100 and not (
+                all(map(operator.le, map(lower, dxs), dys))
+                and all(map(operator.le, dys, map(upper, dxs)))):
+            for j, dx, dy in zip(itertools.count(i + 1), dxs, dys):
+                if not (lower(dx) <= dy <= upper(dx)):
                     violations.append((points[i], points[j], dx, dy))
+                    if len(violations) == 100:
+                        break
     return ControlReport(pairs_checked=pairs, violations=violations,
                          max_observed_stretch=stretch)
 

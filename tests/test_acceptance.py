@@ -30,7 +30,10 @@ def test_criterion_4_product_square_cover():
 
 
 def test_criterion_5_fiber_witnesses():
-    _run(acceptance.criterion_witnesses())
+    result = acceptance.criterion_witnesses()
+    _run(result)
+    # C(120, 2) control pairs: one dropped or repeated pair changes the count
+    assert result.details["control_pairs"] == 7140
 
 
 def test_criterion_6_oracle_vs_hand_instances():
@@ -46,4 +49,12 @@ def test_criterion_8_ordinal_rank():
 
 
 def test_criterion_9_isometries():
-    _run(acceptance.criterion_isometries())
+    result = acceptance.criterion_isometries()
+    _run(result)
+    # each count is C(points, 2): 221, 476, 166 and 189 points
+    assert result.details == {
+        "phi-tower": {"pairs": 24310, "violations": 0},
+        "psi-staircase": {"pairs": 113050, "violations": 0},
+        "theta-interleave": {"pairs": 13695, "violations": 0},
+        "f-level-projection": {"pairs": 17766, "violations": 0},
+    }

@@ -1,6 +1,7 @@
 """Points, metrics, windows, enumeration and the map catalog."""
 
 import random
+import time
 
 import pytest
 
@@ -214,6 +215,54 @@ def test_enumeration_matches_window_size():
     )
     for spec, w in cases:
         assert spec.size(w) == len(list(spec.iter(w)))
+
+
+@pytest.mark.parametrize("step", ["identity", "pow2"])
+@pytest.mark.parametrize("factor_dim", [0, 2])
+@pytest.mark.parametrize("window", [
+    Window.make(levels=(1, 4), box=(-5, 5)),
+    Window.make(levels=(2, 3), box=(-4, 6), axis_boxes={1: (0, 3)}),
+    Window.make(levels=(1, 3), box=(-3, 3), axis_boxes={0: (-8, 8),
+                                                        2: (1, 1),
+                                                        4: (2, 5)}),
+    Window.make(levels=(1, 3), box=((-4, 4), (0, 2), (-2, 6), (1, 3),
+                                    (-1, 1))),
+    Window.make(levels=(3, 3), box=((-4, 4), (0, 2), (-2, 6), (1, 3),
+                                    (-1, 1)), axis_boxes={1: (-6, 6)}),
+], ids=["broadcast", "override", "overrides-and-factor-axes", "per-axis",
+        "per-axis-override"])
+def test_tower_size_counts_what_iter_yields(step, factor_dim, window):
+    spec = TowerSpace(step, factor_dim)
+    assert spec.size(window) == sum(1 for _ in spec.iter(window))
+
+
+@pytest.mark.parametrize("window, message", [
+    (Window.make(box=(-2, 2)), "tower window needs a level range"),
+    (Window.make(levels=(0, 2), box=(-2, 2)), "tower levels start at 1"),
+    (Window.make(levels=(1, 3), axis_boxes={0: (0, 1), 2: (0, 1)}),
+     "no box available for axis 3"),
+    (Window.make(levels=(1, 3), axis_boxes={0: (0, 1), 3: (0, 1)}),
+     "no box available for axis 1"),
+    (Window.make(levels=(1, 2), box=((0, 1), (0, 1))),
+     "axis 2 outside the per-axis box list"),
+])
+def test_tower_size_raises_what_iter_raises(window, message):
+    spec = TowerSpace("identity", 1)
+    for count in (spec.size, lambda w: sum(1 for _ in spec.iter(w))):
+        with pytest.raises(WindowError) as info:
+            count(window)
+        assert str(info.value) == message
+
+
+def test_tower_size_is_linear_in_the_level_count():
+    spec = TowerSpace("identity")
+    w = Window.make(levels=(1, 2000), box=(-6, 6))
+    start = time.perf_counter()
+    size = spec.size(w)
+    assert time.perf_counter() - start < 0.1
+    # levels 1-6 hold 13, 7^2, 5^3, 3^4, 3^5, 3^6 points; from level 7 on
+    # the step passes every nonzero coordinate, so each level holds 0 alone
+    assert size == 13 + 7 ** 2 + 5 ** 3 + 3 ** 4 + 3 ** 5 + 3 ** 6 + 1994
 
 
 def test_axis_boxes_pin_individual_axes():

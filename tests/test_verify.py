@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import random
 from collections import Counter
 import re
 import tracemalloc
@@ -35,10 +36,14 @@ from coarselab.spaces import (
     MapSpec,
     ProductSpace,
     ShiftUnionSpace,
+    ShiftPoint,
     SpaceError,
+    TowerPoint,
     TowerSpace,
     Window,
+    evaluate_map,
     iter_window,
+    lattice_max_distance,
     space_distance,
 )
 from coarselab.verify import (
@@ -752,6 +757,12 @@ def test_violations_are_reported_with_distances():
     assert dy == 2 * dx
     assert report.pairs_checked == 210
     assert len(report.violations) == 100
+    # rows 0-4 hold 20 + 19 + ... + 16 pairs, so the 100th is row 5's 10th
+    assert report.violations[99] == ((5,), (15,), 10, 20)
+    assert (report.pairs_checked, report.violations,
+            report.max_observed_stretch) == reference_control(
+                double, spec, spec, list(spec.iter(Window.make(
+                    box=((0, 20),)))))
     body = json.loads(json.dumps(report.to_json()))
     assert body["violations"] == 100
     assert len(body["violation_sample"]) == 20
@@ -768,6 +779,135 @@ def test_delta_witness_control_bounds():
                                   points=fibers)
     assert report.passed
     assert report.max_observed_stretch <= 10
+
+
+def reference_control(m, domain, codomain, points):
+    """(pairs, violations, stretch) of `check_coarse_control` by a plain
+    per-pair loop: each pair measured on its own by `spec.distance`, or by
+    l-infinity on the images themselves when there is no codomain."""
+    images = [evaluate_map(m, p) for p in points]
+    d_image = lattice_max_distance if codomain is None else codomain.distance
+    pairs, violations, stretch = 0, [], None
+    for (i, p), (j, q) in itertools.combinations(enumerate(points), 2):
+        dx = domain.distance(p, q)
+        dy = d_image(images[i], images[j])
+        pairs += 1
+        stretch = dy - dx if stretch is None else max(stretch, dy - dx)
+        if not m.lower(dx) <= dy <= m.upper(dx) and len(violations) < 100:
+            violations.append((p, q, dx, dy))
+    return pairs, violations, stretch
+
+
+def _random_control(rng):
+    return ControlFn(rng.choice(["identity", "plus-const", "scaled"]),
+                     rng.randint(0, 3))
+
+
+def _random_image(rng, kind):
+    if kind == "lattice":
+        return (rng.randint(-6, 6), rng.randint(-6, 6))
+    if kind == "tower":
+        level = rng.randint(1, 3)
+        return TowerPoint(level, tuple(rng.randint(-5, 5)
+                                       for _ in range(level)))
+    level = rng.randint(0, 2)
+    return ShiftPoint.from_support(
+        {i: rng.randint(-3, 3) for i in range(level, 3)}, level)
+
+
+IMAGE_SPACES = {"lattice": (None, LatticeSpace((1, 1))),
+                "tower": (TowerSpace("identity"),),
+                "shift": (ShiftUnionSpace(),)}
+
+# (domain, window, the maps of the catalog defined on it)
+CONTROL_DOMAINS = (
+    (LatticeSpace((1, 2)), Window.make(box=((-3, 3), (-4, 4))), ()),
+    (ShiftUnionSpace(), Window.make(levels=(0, 1), box=(-2, 2),
+                                    max_support=1),
+     (MapSpec.make("f-level-projection"),)),
+    (TowerSpace("pow2", 1), Window.make(levels=(1, 2), box=(-4, 4)),
+     (MapSpec.make("phi-tower", {"n": 2}), MapSpec.make("pad",
+                                                        {"target": 2}))),
+    (ProductSpace(LatticeSpace((1,)), LatticeSpace((1,))),
+     Window.make(box=(-3, 3)), (MapSpec.make("theta-interleave"),)),
+)
+
+
+def random_control_case(rng):
+    """A domain, a window or an explicit point list from it, and a map with
+    drawn controls: a catalog map, or a table of drawn images of one kind
+    measured in a drawn codomain (none is l-infinity on the images)."""
+    domain, w, maps = rng.choice(CONTROL_DOMAINS)
+    points = list(domain.iter(w))
+    if rng.random() < 0.5:
+        points = rng.sample(points, rng.randint(2, min(60, len(points))))
+        w = None
+    elif len(points) > 60:
+        w = Window.make(levels=w.levels, box=w.box, max_support=w.max_support,
+                        axis_boxes={0: (0, 1)})
+        points = list(domain.iter(w))
+    controls = {"lower": _random_control(rng), "upper": _random_control(rng)}
+    if maps and rng.random() < 0.5:
+        m = dataclasses.replace(rng.choice(maps), **controls)
+        return m, domain, None, w, points
+    kind = rng.choice(sorted(IMAGE_SPACES))
+    table = {p: _random_image(rng, kind) for p in points}
+    m = MapSpec.make("delta-witness", table=table, **controls)
+    return m, domain, rng.choice(IMAGE_SPACES[kind]), w, points
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_control_matches_the_per_pair_reference(seed):
+    rng = random.Random(seed)
+    for _ in range(6):
+        m, domain, codomain, w, points = random_control_case(rng)
+        report = check_coarse_control(m, domain, codomain, w,
+                                      points=None if w else points)
+        assert (report.pairs_checked, report.violations,
+                report.max_observed_stretch) == reference_control(
+                    m, domain, codomain, points)
+
+
+@pytest.mark.parametrize("points", [[], [(3,)]])
+@pytest.mark.parametrize("image", [(1, 2), TowerPoint(1, (0,))])
+def test_control_without_pairs_measures_nothing(points, image):
+    # one point makes no pair, so its image is never measured
+    m = MapSpec.make("delta-witness", table={(3,): image})
+    report = check_coarse_control(m, LatticeSpace((1,)), points=points)
+    assert (report.pairs_checked, report.violations,
+            report.max_observed_stretch) == (0, [], None)
+
+
+def test_control_on_zero_column_images():
+    points = [(x,) for x in range(5)]
+    m = MapSpec.make("delta-witness", table={p: () for p in points},
+                     lower=ControlFn("scaled", 0))
+    report = check_coarse_control(m, LatticeSpace((1,)), points=points)
+    assert (report.pairs_checked, report.violations,
+            report.max_observed_stretch) == (10, [], -1)
+    strict = dataclasses.replace(m, lower=IDENTITY)
+    report = check_coarse_control(strict, LatticeSpace((1,)), points=points)
+    assert len(report.violations) == 10
+    assert (report.pairs_checked, report.violations,
+            report.max_observed_stretch) == reference_control(
+                strict, LatticeSpace((1,)), None, points)
+
+
+def test_control_rejects_images_of_two_lengths():
+    points = [(0,), (1,), (2,)]
+    m = MapSpec.make("delta-witness",
+                     table={(0,): (1,), (1,): (1,), (2,): (1, 2)})
+    with pytest.raises(SpaceError, match=r"^dimension mismatch$"):
+        check_coarse_control(m, LatticeSpace((1,)), points=points)
+
+
+def test_control_without_codomain_needs_sequence_images():
+    points = [(0,), (1,)]
+    m = MapSpec.make("delta-witness",
+                     table={p: TowerPoint(1, p) for p in points})
+    with pytest.raises(TypeError,
+                       match=r"^object of type 'TowerPoint' has no len\(\)$"):
+        check_coarse_control(m, LatticeSpace((1,)), points=points)
 
 
 # ---------------------------------------------------------------------------
