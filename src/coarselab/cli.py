@@ -38,12 +38,12 @@ from .spaces import (
     LatticeSpace,
     MapSpec,
     ProductSpace,
-    ShiftPoint,
     ShiftUnionSpace,
     SpaceSpec,
-    TowerPoint,
     TowerSpace,
     Window,
+    point_from_json,
+    point_to_json,
 )
 from .verify import (
     BudgetExceeded,
@@ -53,7 +53,6 @@ from .verify import (
     check_coarse_control,
     find_fiber_witnesses,
     oracle_1d_nocover,
-    point_to_json,
     verify_cover,
 )
 
@@ -162,27 +161,11 @@ def _as_key(value):
     return value
 
 
-def parse_point(value):
-    """Point literal: a list of ints is a lattice point; a dict with coords
-    is a tower point; a dict with a support map is a shift point."""
-    if isinstance(value, list):
-        return tuple(value)
-    if isinstance(value, dict) and "coords" in value:
-        return TowerPoint(level=value["level"],
-                          coords=tuple(value["coords"]),
-                          extra=tuple(value.get("extra", ())))
-    if isinstance(value, dict) and "support" in value:
-        support = _object(value["support"], "support")
-        return ShiftPoint.from_support(
-            {int(i): v for i, v in support.items()}, value["level"])
-    raise ConfigError(f"unreadable point literal {value!r}")
-
-
 def parse_family(cfg: dict) -> FiniteFamily:
     cells = {}
     for entry in _object(cfg, "family")["cells"]:
         key = _as_key(entry["key"])
-        cells[key] = frozenset(parse_point(p) for p in entry["points"])
+        cells[key] = frozenset(point_from_json(p) for p in entry["points"])
     return FiniteFamily.of(cells)
 
 
@@ -210,7 +193,7 @@ def run_witness(cfg: dict, limits: dict) -> dict:
     families = [build_construction(f) for f in cfg["families"]]
     box_lo, box_hi = cfg["box"]
     dim = cfg.get("box_dim", 1)
-    fibers = [parse_point(f) for f in cfg["fibers"]]
+    fibers = [point_from_json(f) for f in cfg["fibers"]]
     # each fiber may scan every box point
     probes = len(fibers) * len(range(box_lo, box_hi + 1)) ** dim
     check_budget(limits.get("node_budget"), probes,
@@ -302,15 +285,11 @@ def run_satunion(cfg: dict, limits: dict) -> dict:
         # points of the right kind that are not in the space
         for p in points:
             space.validate(p)
-
-    def point_order(p):
-        return p.key() if hasattr(p, "key") else p
-
     body = {
         "status": "ok",
         "cells": [
             {"key": k,
-             "points": [point_to_json(p) for p in sorted(pts, key=point_order)]}
+             "points": [point_to_json(p) for p in sorted(pts)]}
             for k, pts in out.cells
         ],
         "input_points": len(points),

@@ -50,7 +50,7 @@ STEP_FUNCTIONS: dict[str, Callable[[int], int]] = {
 # points
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class TowerPoint:
     """A point of a tower space: `level` scaled coordinates plus an optional
     fixed-dimension extra block.
@@ -77,7 +77,7 @@ class TowerPoint:
         return (self.level, self.coords, self.extra)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class ShiftPoint:
     """A finitely supported integer sequence together with its level.
 
@@ -127,7 +127,41 @@ class ShiftPoint:
 
 
 # Lattice points are plain tuples of ints; product points are pairs of factor
-# points.
+# points.  Points of one kind sort in `key` order.
+
+
+def point_to_json(p):
+    """A point as reports print it, a literal `point_from_json` reads."""
+    if isinstance(p, TowerPoint):
+        return {"level": p.level, "coords": list(p.coords),
+                "extra": list(p.extra)}
+    if isinstance(p, ShiftPoint):
+        return {"level": p.level,
+                "support": {str(i): v for i, v in p.support}}
+    if isinstance(p, tuple):  # a lattice point, or a pair of factor points
+        return [point_to_json(c) for c in p]
+    return p
+
+
+def point_from_json(value):
+    """Point literal: a list is a lattice point, or a pair when its items
+    are lists or objects; an object with coords is a tower point, and one
+    with a support map is a shift point."""
+    if isinstance(value, list):
+        return tuple(point_from_json(v) if isinstance(v, (list, dict)) else v
+                     for v in value)
+    if isinstance(value, dict) and "coords" in value:
+        return TowerPoint(level=value["level"],
+                          coords=tuple(value["coords"]),
+                          extra=tuple(value.get("extra", ())))
+    if isinstance(value, dict) and "support" in value:
+        if not isinstance(value["support"], dict):
+            raise SpaceError("support must be a JSON object, not "
+                             + type(value["support"]).__name__)
+        return ShiftPoint.from_support(
+            {int(i): v for i, v in value["support"].items()}, value["level"])
+    raise SpaceError(f"unreadable point literal {value!r}")
+
 
 # ---------------------------------------------------------------------------
 # windows

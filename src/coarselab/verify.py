@@ -39,15 +39,14 @@ from .spaces import space_distance  # noqa: F401  (kept bound, see below)
 from .spaces import (
     LatticeSpace,
     MapSpec,
-    ShiftPoint,
     SpaceError,
     SpaceSpec,
-    TowerPoint,
     Window,
     evaluate_map,
     iter_window,
     l1_distance,
     lattice_max_distance,
+    point_to_json,
     sorted_min_gap,
 )
 
@@ -86,18 +85,6 @@ MARK_BUCKETS = 64  # a power of two: a hash picks its bucket by its low bits
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
-
-def point_to_json(p):
-    if isinstance(p, TowerPoint):
-        return {"level": p.level, "coords": list(p.coords),
-                "extra": list(p.extra)}
-    if isinstance(p, ShiftPoint):
-        return {"level": p.level,
-                "support": {str(i): v for i, v in p.support}}
-    if isinstance(p, tuple):  # a lattice point, or a pair of factor points
-        return [point_to_json(c) for c in p]
-    return p
-
 
 @dataclass
 class ColorRecord:

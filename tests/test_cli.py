@@ -15,16 +15,26 @@ from coarselab.cli import (
     RUNNERS,
     SPACE_BUILDERS,
     ConfigError,
+    build_construction,
     main,
+    parse_map,
     parse_space,
     run_experiment,
 )
 from coarselab.spaces import (
+    ControlFn,
     LatticeSpace,
+    MapSpec,
     ProductSpace,
     ShiftUnionSpace,
     TowerSpace,
+    Window,
+    evaluate_map,
+    lattice_max_distance,
+    point_from_json,
+    point_to_json,
 )
+from coarselab.verify import check_coarse_control
 
 
 def run_cli(tmp_path, command, config, extra=()):
@@ -700,6 +710,147 @@ def test_points_outside_their_space_exit_two(tmp_path, command, config,
     assert status == 2
     assert report["status"] == "error"
     assert report["report"]["message"] == f"SpaceError: {message}"
+
+
+def test_satunion_with_product_pair_literals(tmp_path):
+    # the U pair is 2 from the first V pair (its first factors' rows are
+    # (4, 0, 1) and (2, 0, 0)), so r=2 absorbs it; points print sorted
+    def pair(a, b):
+        return [{"level": len(a), "coords": a}, {"level": len(b), "coords": b}]
+
+    config = {
+        "space": {"kind": "product-of-towers", "step": "pow2"},
+        "V": {"cells": [{"key": ["v"],
+                         "points": [pair([2], [0]), pair([0], [0])]}]},
+        "U": {"cells": [{"key": ["u"], "points": [pair([4, 0], [0])]}]},
+        "r": 2,
+    }
+    status, report = run_cli(tmp_path, "satunion", config)
+    assert status == 0
+    assert report["report"]["input_points"] == 3
+    assert report["report"]["output_points"] == 3
+    [cell] = report["report"]["cells"]
+    assert cell["key"] == [0, ["v"]]
+    expected = [pair([0], [0]), pair([2], [0]), pair([4, 0], [0])]
+    assert cell["points"] == [[{**p, "extra": []} for p in pt]
+                              for pt in expected]
+
+
+ROUND_TRIP_WINDOWS = [
+    (parse_space({"kind": "tower", "step": "pow2"}),
+     Window.make(levels=(1, 3), box=(-4, 4)), 15),
+    (parse_space({"kind": "tower-with-factor", "step": "pow2",
+                  "factor_dim": 2}),
+     Window.make(levels=(1, 2), box=(-4, 4),
+                 axis_boxes={2: (-2, 2), 3: (-2, 2)}), 350),
+    (parse_space({"kind": "product-of-towers", "step": "pow2"}),
+     Window.make(levels=(1, 2), box=(-4, 4)), 196),
+    (parse_space({"kind": "shift-union"}),
+     Window.make(levels=(0, 2), box=(-3, 3), max_support=3), 147),
+    (parse_space({"kind": "plain-lattice", "axis_steps": [1, 2]}),
+     Window.make(box=(-3, 3)), 21),
+    # the domain shape of theta-interleave, which no CLI space kind builds
+    (ProductSpace(LatticeSpace((1,)), LatticeSpace((1, 2))),
+     Window.make(box=(-2, 2)), 75),
+]
+
+
+@pytest.mark.parametrize("space, window, size", ROUND_TRIP_WINDOWS,
+                         ids=["tower", "tower-with-factor",
+                              "product-of-towers", "shift-union",
+                              "plain-lattice", "lattice-pair"])
+def test_every_point_reads_back_from_its_literal(space, window, size):
+    points = list(space.iter(window))
+    assert len(points) == size
+    for p in points:
+        assert point_from_json(json.loads(json.dumps(point_to_json(p)))) == p
+
+
+@pytest.mark.parametrize("literal, message", [
+    (5, "unreadable point literal 5"),
+    ("x", "unreadable point literal 'x'"),
+    ({}, "unreadable point literal {}"),
+    ({"level": 0, "support": [1]}, "support must be a JSON object, not list"),
+], ids=["int", "str", "empty-object", "support-list"])
+def test_unreadable_point_literals_exit_two(tmp_path, literal, message):
+    config = {"V": {"cells": [{"key": ["v"], "points": [literal]}]},
+              "U": {"cells": []}, "r": 1}
+    status, report = run_cli(tmp_path, "satunion", config)
+    assert status == 2
+    assert report["status"] == "error"
+    assert report["report"]["message"] == f"SpaceError: {message}"
+
+
+@pytest.mark.parametrize("config", [
+    # level-1 tower points are below the singleton threshold
+    {"construction": {"name": "singleton", "params": {"threshold": 1}},
+     "space": {"kind": "tower", "step": "pow2"},
+     "window": {"levels": [1, 2], "box": [-4, 4]}},
+    # low levels, and extra blocks in the interval cover's gaps
+    {"construction": {"name": "fiber-product", "params": {"threshold": 1},
+                      "base": {"name": "interval",
+                               "params": {"size": 2, "sep": 3}}},
+     "space": {"kind": "tower-with-factor", "factor_dim": 1},
+     "window": {"levels": [1, 2], "box": [-3, 3]}},
+    {"construction": {"name": "interval", "params": {"size": 2, "sep": 3}},
+     "space": {"kind": "plain-lattice", "axis_steps": [1]},
+     "window": {"box": [-6, 6]}},
+], ids=["tower", "tower-with-factor", "plain-lattice"])
+def test_uncovered_sample_reads_back_as_uncovered_points(tmp_path, config):
+    status, report = run_cli(tmp_path, "verify", config)
+    assert status == 1
+    sample = report["report"]["uncovered_sample"]
+    assert 0 < len(sample) <= report["report"]["uncovered_total"]
+    space = parse_space(config["space"])
+    scheme = build_construction(config["construction"], space)
+    for literal in sample:
+        p = point_from_json(literal)
+        space.validate(p)
+        assert scheme.classify(p) is None
+
+
+def _assert_violations_read_back(body, m, domain, codomain=None):
+    """Each sampled violation's x and y, read back, measure the reported
+    distances and break the map's controls."""
+    image_distance = (lattice_max_distance if codomain is None
+                      else codomain.distance)
+    assert body["violation_sample"]
+    for v in body["violation_sample"]:
+        x, y = point_from_json(v["x"]), point_from_json(v["y"])
+        domain.validate(x)
+        domain.validate(y)
+        assert domain.distance(x, y) == v["d_domain"]
+        dy = image_distance(evaluate_map(m, x), evaluate_map(m, y))
+        assert dy == v["d_image"]
+        assert not m.lower(v["d_domain"]) <= dy <= m.upper(v["d_domain"])
+
+
+@pytest.mark.parametrize("config", [
+    # padding drops the level penalty that separates levels 1 and 2
+    {"map": {"name": "pad", "params": {"target": 2}},
+     "domain": {"kind": "tower", "step": "pow2"},
+     "window": {"levels": [1, 2], "box": [-4, 4]}},
+    # the level projection shrinks every same-level pair to 0
+    {"map": {"name": "f-level-projection"},
+     "domain": {"kind": "shift-union"},
+     "window": {"levels": [0, 1], "box": [-1, 1], "max_support": 2}},
+], ids=["tower", "shift-union"])
+def test_violation_sample_reads_back_as_violating_pairs(tmp_path, config):
+    status, report = run_cli(tmp_path, "control", config)
+    assert status == 1
+    _assert_violations_read_back(report["report"], parse_map(config["map"]),
+                                 parse_space(config["domain"]))
+
+
+def test_violation_sample_of_pairs_reads_back():
+    # theta-interleave is an isometry, so a 0 upper control breaks on every
+    # pair of distinct lattice pairs
+    m = MapSpec.make("theta-interleave", upper=ControlFn("scaled", 0))
+    domain = ProductSpace(LatticeSpace((1,)), LatticeSpace((1,)))
+    report = check_coarse_control(m, domain, w=Window.make(box=(-1, 1)))
+    body = json.loads(json.dumps(report.to_json()))
+    assert body["violations"] == 36
+    _assert_violations_read_back(body, m, domain)
 
 
 def test_version_has_one_source(tmp_path):

@@ -413,6 +413,17 @@ def test_finite_family_rejects_overlap():
                          "b": frozenset({(2,)})})
 
 
+@pytest.mark.parametrize("points", [
+    [TowerPoint(1, (0,)), TowerPoint(1, (2,)), TowerPoint(2, (0, 0))],
+    [ShiftPoint(0, ()), ShiftPoint(0, ((1, 2),)), ShiftPoint(1, ((1, 1),))],
+], ids=["tower", "shift"])
+def test_finite_family_names_shared_points_of_every_kind(points):
+    # the cells share the first two points, which the error lists sorted
+    with pytest.raises(CoverError) as exc:
+        FiniteFamily.of({"a": points, "b": points[1::-1]})
+    assert str(exc.value) == f"cells are not pairwise disjoint: {points[:2]}"
+
+
 def test_set_distance_merge_path_matches_naive():
     rng = random.Random(2)
     for _ in range(50):
