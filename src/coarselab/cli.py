@@ -300,6 +300,11 @@ def run_satunion(cfg: dict, limits: dict) -> dict:
 
 def run_suite(cfg: dict, limits: dict) -> dict:
     seed = cfg.get("seed", acceptance.DEFAULT_SEED)
+    # checked before any criterion runs: `random.Random` would take any int
+    # by its absolute value, and a bool or a float as a number
+    if type(seed) is not int or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, not "
+                          f"{json.dumps(seed)}")
     results = acceptance.run_all(seed)
     for res in results:
         print(res.line())

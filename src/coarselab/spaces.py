@@ -344,11 +344,13 @@ class SpaceSpec:
     def distance(self, p, q) -> int:
         return self.row_metric(*self.rows([p, q]))
 
-    def point_rows(self, points: Iterable) -> Iterator[tuple]:
-        """(point, row) for each of `points`.  A row takes its shape from
-        every point in play, so the points are listed first."""
+    def row_source(self, w: Window, points: Iterable) -> tuple:
+        """`(points, source)`: the window's `points` to walk, and the source
+        of the row of the point at each 0-based position of that walk.  A
+        row takes its shape from every point in play, so the points are
+        listed and their rows built once."""
         points = list(points)
-        return zip(points, self.rows(points))
+        return points, ListedRows(self.rows(points))
 
     def size(self, w: Window) -> int:
         """Number of points `iter(w)` yields, without enumerating."""
@@ -561,10 +563,85 @@ class LatticeSpace(SpaceSpec):
         """The input list itself: a lattice point is already its row."""
         return points
 
-    def point_rows(self, points: Iterable[tuple]) -> Iterator[tuple]:
-        """(point, point) for each of `points`, streamed: a lattice point is
-        already its row, so the points are never listed."""
-        return zip(*itertools.tee(points))
+    def row_source(self, w: Window, points: Iterable[tuple]) -> tuple:
+        """`points` streamed, never listed, and rows decoded from positions:
+        `points` must come in `iter(w)` order."""
+        return points, LatticeRows(self.axes(w))
+
+
+# ---------------------------------------------------------------------------
+# row sources
+# ---------------------------------------------------------------------------
+#
+# A row source gives the rows of one window's points by their 0-based
+# position in the window's walk, so a caller that groups points keeps one int
+# per point.  `positions` is a non-empty ascending sequence of ints.
+
+
+class ListedRows:
+    """Rows listed once: the point at position i has row `rows[i]`."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: Sequence[tuple]) -> None:
+        self._rows = rows
+
+    def rows(self, positions: Sequence[int]) -> list[tuple]:
+        return list(map(self._rows.__getitem__, positions))
+
+    def box(self, positions: Sequence[int]) -> list[Interval]:
+        """The per-axis (min, max) of the rows at `positions`."""
+        return [(min(col), max(col)) for col in zip(*self.rows(positions))]
+
+
+class LatticeRows:
+    """The rows of `itertools.product(*axes)`, decoded from positions in
+    mixed radix, last axis fastest.  Nothing is kept per point, and a
+    position's digit on axis k indexes the range `axes[k]`, so coordinates
+    of any size decode exactly."""
+
+    __slots__ = ("_axes", "_strides")
+
+    def __init__(self, axes: Sequence[range]) -> None:
+        self._axes = axes
+        strides = [1]
+        for axis in reversed(axes[1:]):
+            strides.append(strides[-1] * len(axis))
+        self._strides = strides[::-1]  # positions per step on each axis
+
+    def _digits(self, positions: Sequence[int], k: int) -> Iterator[int]:
+        """Each position's index into `axes[k]`: its remainder modulo the
+        stride of axis k - 1, floor-divided by the stride of axis k."""
+        digits = iter(positions)
+        if k:
+            digits = map(operator.mod, digits,
+                         itertools.repeat(self._strides[k - 1]))
+        if self._strides[k] != 1:
+            digits = map(operator.floordiv, digits,
+                         itertools.repeat(self._strides[k]))
+        return digits
+
+    def rows(self, positions: Sequence[int]) -> list[tuple]:
+        return list(zip(*[map(axis.__getitem__, self._digits(positions, k))
+                          for k, axis in enumerate(self._axes)]))
+
+    def box(self, positions: Sequence[int]) -> list[Interval]:
+        """The per-axis (min, max) of the rows at `positions`.  Axis 0's
+        digit only grows along the walk, so its extremes come from the first
+        and the last position.  On a later axis the digit only grows with
+        the remainder modulo the stride of the axis before, so its extremes
+        come from the least and the greatest remainder.  A stride divides
+        every stride before it, so each axis's remainders are taken from the
+        previous axis's, and sorting them costs fewer compares than `min`
+        and `max` together: they ascend in runs."""
+        axes, strides = self._axes, self._strides
+        box = [(axes[0][positions[0] // strides[0]],
+                axes[0][positions[-1] // strides[0]])]
+        rems = positions
+        for axis, outer, stride in zip(axes[1:], strides, strides[1:]):
+            rems = sorted(map(operator.mod, rems, itertools.repeat(outer)))
+            box.append((axis[rems[0] // stride], axis[rems[-1] // stride]))
+        return box
 
 
 # ---------------------------------------------------------------------------

@@ -136,15 +136,18 @@ class VerificationReport:
 # pointwise measurement
 # ---------------------------------------------------------------------------
 #
-# Cells are measured on the space's rows (`SpaceSpec.point_rows`), which all
-# have one shape: a lattice point is its own row, while tower, product and
-# shift-union rows take their shape from every point of the window.  A cell
-# keeps its rows as one flat list of coordinates, `dim` per row, so a window
-# holds no tuple per point.  A cell's summary is its bounding box of rows,
-# taken from the per-axis slices `flat[k::dim]`.  Under the max metric
-# (lattice, tower and product rows) the diameter of ANY row set equals its
-# widest box extent; under the l1 metric (shift-union rows) diameters are
-# measured pairwise, on the same slices as columns.
+# Cells are measured on the space's rows, which all have one shape: a lattice
+# point is its own row, while tower, product and shift-union rows take their
+# shape from every point of the window.  A cell keeps only the 0-based
+# positions of its points in the window's walk, one 8-byte int each in an
+# `array("q")`, and the space's row source (`SpaceSpec.row_source`) gives
+# back rows by position: a lattice source decodes them from the window's
+# axes, the others look them up in the rows they listed once.  A cell's
+# summary is its bounding box of rows, which the source takes from the
+# positions.  Under the max metric (lattice, tower and product rows) the
+# diameter of ANY row set equals its widest box extent; under the l1 metric
+# (shift-union rows) diameters are measured pairwise, on the cell's rows
+# taken as columns.
 #
 # Separation rests on one fact: the gap between two points, or two boxes, on
 # any single axis never exceeds their distance under either metric.  So the
@@ -163,19 +166,6 @@ def _gap(a: tuple[int, int], b: tuple[int, int]) -> int:
     return 0
 
 
-def _columns(flat: list, dim: int) -> list[list]:
-    return [flat[k::dim] for k in range(dim)]
-
-
-def _rows(flat: list, dim: int) -> Iterator[tuple]:
-    """The row tuples of a flat cell, in the order they were filed."""
-    return zip(*[iter(flat)] * dim)
-
-
-def _box(flat: list, dim: int) -> list[tuple[int, int]]:
-    return [(min(col), max(col)) for col in _columns(flat, dim)]
-
-
 def _near(cand, boxes: list, box_a, best, axes) -> list:
     """The indices in `cand` whose box lies closer than `best` to `box_a` on
     each axis in `axes`: the others are at least `best` away."""
@@ -192,10 +182,10 @@ def _row_distance(l1: bool):
     return l1_distance if l1 else lattice_max_distance
 
 
-def _min_separation_points(cells: list[list], boxes: list, dim: int,
+def _min_separation_points(cells: list, boxes: list, source,
                            l1: bool) -> int | None:
-    """Exact minimum distance between distinct cells, each a flat list of
-    rows of `dim` coordinates, by sweep and prune.
+    """Exact minimum distance between distinct cells, each the positions of
+    its points, whose rows `source` gives, by sweep and prune.
 
     `best` is the least distance measured so far; it only falls, and a pair
     is skipped only when a single-axis gap shows it is at least `best` apart,
@@ -211,10 +201,10 @@ def _min_separation_points(cells: list[list], boxes: list, dim: int,
       lower bound (their max under l∞, their sum under l1); a pair whose
       bound reaches `best` is skipped.  The widest gap names the window axis
       k.
-    - *Exact step.*  Only here are row tuples rebuilt, for the two cells
-      of the pair.  Cell b's rows are sorted by coordinate k.  Each row p of
-      cell a is measured only against the rows q with |q_k - p_k| < best,
-      found by bisection; every other q is at least `best` from p.
+    - *Exact step.*  Only here are rows taken from `source`, for the two
+      cells of the pair.  Cell b's rows are sorted by coordinate k.  Each row
+      p of cell a is measured only against the rows q with |q_k - p_k| <
+      best, found by bisection; every other q is at least `best` from p.
     """
     if len(cells) < 2:
         return None
@@ -233,9 +223,9 @@ def _min_separation_points(cells: list[list], boxes: list, dim: int,
             if (sum(gaps) if l1 else widest) >= best:
                 continue
             k = gaps.index(widest)
-            rows_b = sorted(_rows(cells[b], dim), key=operator.itemgetter(k))
+            rows_b = sorted(source.rows(cells[b]), key=operator.itemgetter(k))
             keys = [q[k] for q in rows_b]
-            for p in _rows(cells[a], dim):
+            for p in source.rows(cells[a]):
                 x = p[k]
                 for q in rows_b[bisect.bisect_right(keys, x - best):
                                 bisect.bisect_left(keys, x + best)]:
@@ -263,28 +253,28 @@ def _later_row_distances(cols: list, n: int, l1: bool) -> Iterator[list]:
         yield list(map(fold, zip(*gaps)))
 
 
-def _diameter(flat: list, dim: int, box, l1: bool) -> int:
+def _diameter(cell, source, box, l1: bool) -> int:
     """The widest box extent under l-infinity; under l1 the largest distance
     of each row to the later rows, measured column by column."""
     if not l1:
         return max((hi - lo for lo, hi in box), default=0)
-    distances = _later_row_distances(_columns(flat, dim), len(flat) // dim,
-                                     True)
+    rows = source.rows(cell)
+    distances = _later_row_distances(list(zip(*rows)), len(rows), True)
     return max(map(max, distances), default=0)
 
 
-def _measure_color_points(cells: dict, dim: int, l1: bool):
+def _measure_color_points(cells: dict, source, l1: bool):
     """Return (cells_seen, max_diameter, min_separation) for one color whose
-    cells are {key: flat}, each `flat` its rows' coordinates joined into one
-    list, `dim` per row."""
+    cells are {key: positions}, each the ascending positions of its points,
+    whose rows `source` gives."""
     if not cells:
         return 0, None, None
-    flats = list(cells.values())
-    boxes = [_box(flat, dim) for flat in flats]
-    diam = max(_diameter(flat, dim, box, l1)
-               for flat, box in zip(flats, boxes))
-    sep = _min_separation_points(flats, boxes, dim, l1)
-    return len(cells), diam, sep
+    positions = list(cells.values())
+    boxes = list(map(source.box, positions))
+    diam = max(_diameter(cell, source, box, l1)
+               for cell, box in zip(positions, boxes))
+    sep = _min_separation_points(positions, boxes, source, l1)
+    return len(positions), diam, sep
 
 
 # ---------------------------------------------------------------------------
@@ -460,47 +450,47 @@ def _finish_report(s, w, cells, measure, uncovered: _Sample, errors: _Sample,
 
 
 def _verify_pointwise(s, spec, w, max_listed) -> VerificationReport:
-    """Group the window's rows by their `classify` result in one dict, then
-    split it per color.  Each cell's rows are one flat coordinate list.  The
-    window comes from `SpaceSpec.point_rows`: a lattice window is streamed,
-    so a point lives for one step of the loop, while other spaces list their
+    """Group the window's points by their `classify` result in one dict, then
+    split it per color.  A cell is the `array("q")` of its points' 0-based
+    positions in the walk, and rows come back by position from the space's
+    row source (`SpaceSpec.row_source`).  A lattice window is streamed, so a
+    point lives for one step of the loop, while other spaces list their
     points to shape their rows.  A result is checked (None, color range) only
     when it is first seen: a result already in the dict names a valid cell."""
-    groups: dict[tuple, list] = {}
+    groups: dict[tuple, array] = {}
     uncovered = _Sample(max_listed)
     errors = _Sample(max_listed)
-    points_seen = dim = 0
     classify = s.classify
     colors = s.colors
-    pairs = spec.point_rows(iter_window(spec, w))
-    for points_seen, (p, row) in enumerate(pairs, 1):
+    points, source = spec.row_source(w, iter_window(spec, w))
+    position = -1
+    for position, p in enumerate(points):
         try:
             res = classify(p)
         except SpaceError as exc:
             errors.add(f"{p!r}: {exc}")
             continue
-        flat = groups.get(res)
-        if flat is not None:
-            flat += row
+        cell = groups.get(res)
+        if cell is not None:
+            cell.append(position)
             continue
         if res is None:
             uncovered.add(p)
             continue
         color, key = res
         if 0 <= color < colors:
-            groups[res] = list(row)
-            dim = len(row)
+            groups[res] = array("q", (position,))
         else:
             errors.add(f"{p!r}: color {color} out of range")
     cells: dict[int, dict] = {}
-    for (color, key), flat in groups.items():
-        cells.setdefault(color, {})[key] = flat
+    for (color, key), cell in groups.items():
+        cells.setdefault(color, {})[key] = cell
 
     def measure(per_key: dict):
-        return _measure_color_points(per_key, dim, spec.l1)
+        return _measure_color_points(per_key, source, spec.l1)
 
     return _finish_report(s, w, cells, measure, uncovered, errors,
-                          points_seen, "pointwise")
+                          position + 1, "pointwise")
 
 
 def _verify_runs(s, spec, w, max_listed, point_budget) -> VerificationReport:

@@ -467,6 +467,27 @@ def test_suite_command_runs_each_criterion(monkeypatch, capsys):
     assert "[FAIL] always fails" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("config, extra, shown", [
+    ({"seed": True}, (), "true"),
+    ({"seed": 1.5}, (), "1.5"),
+    ({}, ("--seed", "-1"), "-1"),
+    ({"seed": "x"}, (), '"x"'),
+])
+def test_bad_suite_seed_exits_two(tmp_path, monkeypatch, capsys, config,
+                                  extra, shown):
+    # refused before any criterion runs, as a bad `limits` value is
+    def ran():
+        raise AssertionError("a criterion ran")
+
+    monkeypatch.setattr(acceptance, "CRITERIA", (("ran", ran),))
+    status, report = run_cli(tmp_path, "suite", config, extra)
+    assert status == 2
+    assert report["status"] == "error"
+    assert report["report"]["message"] == (
+        f"ConfigError: seed must be a non-negative integer, not {shown}")
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # exit-contract fuzz
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ unpruned all-pairs loops, on random cell layouts in every pointwise space
 kind, and the run path's class measurement against the same brute force."""
 
 import itertools
+from array import array
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from coarselab.spaces import (
     LatticeSpace,
+    ListedRows,
     ProductSpace,
     ShiftPoint,
     ShiftUnionSpace,
@@ -25,12 +27,14 @@ COORD = st.integers(-6, 6)
 
 
 def measure_rows(cells: dict, l1: bool):
-    """`_measure_color_points` on cells given as {key: [row, ...]}: each
-    cell's rows joined into the one flat list the pointwise path keeps."""
-    dim = len(next(iter(cells.values()))[0]) if cells else 0
-    flats = {key: [c for row in rows for c in row]
-             for key, rows in cells.items()}
-    return _measure_color_points(flats, dim, l1)
+    """`_measure_color_points` on cells given as {key: [row, ...]}, through a
+    list-backed row source: every row listed once, and each cell the
+    positions of its rows, as the pointwise path keeps them."""
+    rows = [row for cell in cells.values() for row in cell]
+    ends = itertools.accumulate(map(len, cells.values()))
+    positions = {key: array("q", range(end - len(cell), end))
+                 for (key, cell), end in zip(cells.items(), ends)}
+    return _measure_color_points(positions, ListedRows(rows), l1)
 
 
 def assert_sweep_matches_brute(spec, cells):

@@ -2,8 +2,11 @@
 
 import random
 import time
+from array import array
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from coarselab.spaces import (
     ControlFn,
@@ -366,3 +369,46 @@ def test_control_functions():
         ControlFn("scaled", -1)
     with pytest.raises(SpaceError):
         MapSpec.make("no-such-map")
+
+
+# ---------------------------------------------------------------------------
+# row sources
+# ---------------------------------------------------------------------------
+
+@st.composite
+def lattice_cells(draw):
+    """A lattice of 1-4 axes with steps 1-5, a window of at most 4 values per
+    axis, near 0, in negative boxes or near +-2^70 (a box narrower than its
+    step can hold one value or none), and a cell: ascending positions of
+    the window's walk, none when the window is empty."""
+    steps = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+    boxes = {}
+    for j, step in enumerate(steps):
+        lo = draw(st.sampled_from([0, -40, 2 ** 70, -(2 ** 70)]))
+        lo += draw(st.integers(-12, 12))
+        boxes[j] = (lo, lo + draw(st.integers(0, 3 * step)))
+    spec, w = LatticeSpace(tuple(steps)), Window.make(axis_boxes=boxes)
+    size = spec.size(w)
+    cell = draw(st.sets(st.integers(0, size - 1), min_size=1)) if size else ()
+    return spec, w, sorted(cell)
+
+
+@example(case=(LatticeSpace((2, 1)),
+               Window.make(axis_boxes={0: (1, 1), 1: (0, 3)}), []))
+@example(case=(LatticeSpace((1, 5, 3)),
+               Window.make(axis_boxes={0: (-3, 0), 1: (2 ** 70, 2 ** 70 + 9),
+                                       2: (-6, -6)}), [1, 2, 5, 6]))
+@given(case=lattice_cells())
+def test_lattice_rows_decode_positions(case):
+    # every position decodes to the point the walk yields there, and a
+    # cell's box from its positions is the box of its points
+    spec, w, cell = case
+    points = list(spec.iter(w))
+    walked, source = spec.row_source(w, iter(points))
+    assert list(walked) == points
+    assert source.rows(range(len(points))) == points
+    if cell:
+        rows = [points[i] for i in cell]
+        assert source.rows(array("q", cell)) == rows
+        assert source.box(array("q", cell)) == [(min(c), max(c))
+                                                for c in zip(*rows)]

@@ -583,11 +583,12 @@ def test_run_path_agrees_on_a_cell_of_two_runs_on_one_fiber():
             for r in b.per_color] == [(3, 8, 3), (3, 8, 3)]
 
 
-def traced_pointwise(scheme):
-    """The pointwise report of `scheme` on a 73,205-point window of
-    3-coordinate lattice points, and the tracemalloc peak it took."""
+def traced_pointwise(scheme, scaled=(-8, 8)):
+    """The pointwise report of `scheme` on a window of 3-coordinate lattice
+    points, boxes +-60, +-60 and `scaled` (73,205 points by default), and
+    the tracemalloc peak it took."""
     spec = LatticeSpace((1, 1, 4))
-    w = Window.make(axis_boxes={0: (-60, 60), 1: (-60, 60), 2: (-8, 8)})
+    w = Window.make(axis_boxes={0: (-60, 60), 1: (-60, 60), 2: scaled})
     tracemalloc.start()
     try:
         rep = verify_cover(scheme, spec, w, mode="pointwise")
@@ -597,11 +598,19 @@ def traced_pointwise(scheme):
 
 
 def test_pointwise_memory_per_point():
-    # a lattice window is streamed and each cell keeps one flat list of
-    # coordinates, not a tuple per point
+    # a lattice window is streamed and each cell keeps one position per
+    # point, not a tuple per point
     rep, peak = traced_pointwise(mixed_grid_cover(2, 1, 4, 6))
     assert (rep.verdict, rep.points_seen) == ("pass", 73205)
     assert peak / rep.points_seen < 45
+
+
+def test_pointwise_cells_hold_positions():
+    # one 8-byte position per covered point, and rows decoded from the
+    # window's axes: the peak stays under 2 MiB for 102,487 points
+    rep, peak = traced_pointwise(mixed_grid_cover(2, 1, 4, 6), (-12, 12))
+    assert (rep.verdict, rep.points_seen) == ("pass", 102487)
+    assert peak < 2 * 2 ** 20
 
 
 def _no_cell(p):
